@@ -29,11 +29,7 @@ from .profile import (
     MissingFlagError,
     PositivityFlag,
     ThreefoldProfile,
-    c2_pair_eval,
     flag,
-    number_eval,
-    triple_eval,
-    validate_profile,
 )
 from .twist import QTwistedBundle, cotangent_twisted_c2, twist_c1, twist_c2
 from .riemann_roch import (
@@ -48,6 +44,7 @@ from .riemann_roch import (
 )
 from .bounds import (
     BASEPOINTFREE,
+    BOUND_RULES,
     CH02_THM42,
     Certificate,
     Conclusion,
@@ -59,10 +56,15 @@ from .bounds import (
     bound_fukuma_gap,
     bound_fukuma_ka,
     bound_nefbig,
+    bs_class,
     certify_h0_adjoint,
     certify_h0_bs,
+    fukuma_gap_class,
+    fukuma_ka_class,
     generic_nef_pairing_test,
     miyaoka_c2_inequality,
+    miyaoka_correction,
+    nefbig_class,
 )
 from .birational import (
     BlowupMap,

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import CalcError, DivisorExpr, RationalInput, UnknownSymbolError, rat
+from .bounds import fukuma_gap_cubic, fukuma_ka_class
+from .core import CalcError, ClassExpr, DivisorExpr, RationalInput, UnknownSymbolError, rat
 from .profile import VARIETY_LEVEL_KINDS, ThreefoldProfile
 
 POINT = "point"
@@ -184,8 +185,9 @@ def blowdown_invariance_check(
 ) -> tuple[bool, bool]:
     """Check that the two bound cubics are blow-down invariant.
 
-    For a point blow-up with A = f*A' - E, both (K+2A).A.(K + 5/4 A) and
-    A.(K+2A).(K + 19/3 A) agree with their values downstairs; this holds
+    For a point blow-up with A = f*A' - E, both `fukuma_ka_class`, a
+    multiple of (K+2A).A.(K + 5/4 A), and `fukuma_gap_cubic`, which is
+    A.(K+2A).(K + 19/3 A), agree with their values downstairs; this holds
     identically because K+2A is a pull-back and pull-backs annihilate E.
     Returns the two comparisons (contract: both True).
     """
@@ -194,9 +196,9 @@ def blowdown_invariance_check(
     a_source = pull_back(m, A_target) - DivisorExpr.symbol(m.exceptional)
 
     def forms(profile: ThreefoldProfile, a: DivisorExpr) -> tuple[Fraction, Fraction]:
-        k = profile.canonical
-        first = profile.triple_eval(k + 2 * a, a, k + Fraction(5, 4) * a)
-        second = profile.triple_eval(a, k + 2 * a, k + Fraction(19, 3) * a)
+        k, a = ClassExpr.from_divisor(profile.canonical), ClassExpr.from_divisor(a)
+        first = profile.number_eval(fukuma_ka_class(k, a))
+        second = profile.number_eval(fukuma_gap_cubic(k, a))
         return first, second
 
     s1, s2 = forms(m.source, a_source)

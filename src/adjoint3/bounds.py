@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import ClassExpr, DivisorExpr, NumberExpr, expand_divisors, expand_product
+from .core import ClassExpr, DivisorExpr, NumberExpr, expand_product
 from .profile import (
     FlagContradictionError,
     FlagKind,
@@ -116,6 +116,52 @@ def generic_nef_pairing_test(
     return PairingTest(value, value >= 0)
 
 
+# -- the bound formulas ------------------------------------------------------
+#
+# Each formula is written once, as a symbolic function of the degree-one
+# classes K (canonical) and A.  The identity suite proves these objects on
+# the symbols K and A, the blow-down check reads its cubics from them, and
+# the profile bounds below evaluate them on the profile's classes.
+
+
+def miyaoka_correction(K: ClassExpr, A: ClassExpr) -> ClassExpr:
+    """The part of c2 of the cotangent bundle twisted by A/3 beside the c2 atom.
+
+    On a threefold this is 2/3 * K.A + 1/3 * A^2.
+    """
+    return cotangent_twisted_c2(3, K, A) - ClassExpr.c2_atom()
+
+
+def fukuma_ka_class(K: ClassExpr, A: ClassExpr) -> NumberExpr:
+    """1/18 * (K+2A).A.(K + 5/4 A): c2-eliminated bound for h^0(K+A)."""
+    return Fraction(1, 18) * expand_product([K + 2 * A, A, K + Fraction(5, 4) * A])
+
+
+def fukuma_gap_cubic(K: ClassExpr, A: ClassExpr) -> NumberExpr:
+    """A.(K+2A).(K + 19/3 A), the blow-down invariant part of the gap bound."""
+    return expand_product([A, K + 2 * A, K + Fraction(19, 3) * A])
+
+
+def fukuma_gap_class(K: ClassExpr, A: ClassExpr) -> NumberExpr:
+    """1/12 * [A.(K+2A).(K + 19/3 A) + A^3]: bound for h^0(K+2A) - h^0(K+A)."""
+    return Fraction(1, 12) * (fukuma_gap_cubic(K, A) + expand_product([A, A, A]))
+
+
+def nefbig_class(K: ClassExpr, A: ClassExpr) -> NumberExpr:
+    """-1/2 * K.(K+A)^2 + 2 * chi_O, which equals chi(K+A) - chi(2K+A)."""
+    return Fraction(-1, 2) * expand_product([K, K + A, K + A]) + 2 * NumberExpr.chi_o_atom()
+
+
+def bs_class(K: ClassExpr, A: ClassExpr) -> NumberExpr:
+    """1/2 * (K+2A).A^2 + chi_O, which equals chi(K+2A) - 2 * chi(K+A)."""
+    return Fraction(1, 2) * expand_product([K + 2 * A, A, A]) + NumberExpr.chi_o_atom()
+
+
+def _evaluate(form, p: ThreefoldProfile, A: DivisorExpr) -> Fraction:
+    lift = ClassExpr.from_divisor
+    return p.number_eval(form(lift(p.canonical), lift(A)))
+
+
 def miyaoka_c2_inequality(
     p: ThreefoldProfile, A: DivisorExpr, H: DivisorExpr
 ) -> MiyaokaTest:
@@ -126,11 +172,9 @@ def miyaoka_c2_inequality(
     ``hypotheses_met`` reports whether the declared flags cover that.
     """
     lhs = p.c2_pair(H)
-    twisted = cotangent_twisted_c2(
-        3, ClassExpr.from_divisor(p.canonical), ClassExpr.from_divisor(A)
-    )
-    correction = ClassExpr(2, twisted.terms)  # the part of twisted c2 beside the atom
-    rhs = -p.number_eval(expand_product([ClassExpr.from_divisor(H), correction]))
+    lift = ClassExpr.from_divisor
+    correction = miyaoka_correction(lift(p.canonical), lift(A))
+    rhs = -p.number_eval(expand_product([lift(H), correction]))
     met = (
         (p.has_flag(FlagKind.NOT_UNIRULED) or p.satisfies(FlagKind.PSEUDO_EFFECTIVE, p.canonical))
         and p.satisfies(FlagKind.NEF, A)
@@ -140,47 +184,41 @@ def miyaoka_c2_inequality(
 
 
 def bound_fukuma_ka(p: ThreefoldProfile, A: DivisorExpr) -> Fraction:
-    """Lower bound for h^0(K+A) on a non-uniruled threefold.
+    """Lower bound for h^0(K+A) on a non-uniruled threefold, `fukuma_ka_class`.
 
-    1/18 * (K+2A).A.(K + 5/4 A); no hypothesis check here, see the
-    certifiers.
+    No hypothesis check here, see the certifiers.
     """
-    K = p.canonical
-    expr = Fraction(1, 18) * expand_divisors(K + 2 * A, A, K + Fraction(5, 4) * A)
-    return p.number_eval(expr)
+    return _evaluate(fukuma_ka_class, p, A)
 
 
 def bound_fukuma_gap(p: ThreefoldProfile, A: DivisorExpr) -> Fraction:
     """Lower bound for h^0(K+2A) - h^0(K+A) on a non-uniruled threefold.
 
-    1/12 * [A.(K+2A).(K + 19/3 A) + A^3].
+    The formula is `fukuma_gap_class`.
     """
-    K = p.canonical
-    expr = Fraction(1, 12) * (
-        expand_divisors(A, K + 2 * A, K + Fraction(19, 3) * A)
-        + expand_divisors(A, A, A)
-    )
-    return p.number_eval(expr)
+    return _evaluate(fukuma_gap_class, p, A)
 
 
 def bound_nefbig(p: ThreefoldProfile, A: DivisorExpr) -> Fraction:
-    """Lower bound for h^0(K+A) when K+A is nef and big.
+    """Lower bound for h^0(K+A) when K+A is nef and big, `nefbig_class`.
 
-    -1/2 * K.(K+A)^2 + 2 * chi_O; sharp on projective space with A = 5H.
+    Sharp on projective space with A = 5H.
     """
-    K = p.canonical
-    expr = Fraction(-1, 2) * expand_divisors(K, K + A, K + A) + 2 * NumberExpr.chi_o_atom()
-    return p.number_eval(expr)
+    return _evaluate(nefbig_class, p, A)
 
 
 def bound_bs(p: ThreefoldProfile, A: DivisorExpr) -> Fraction:
-    """Lower bound for h^0(K+2A): 1/2 * (K+2A).A^2 + chi_O.
+    """Lower bound for h^0(K+2A), `bs_class`; sharp on projective space with A = 3H."""
+    return _evaluate(bs_class, p, A)
 
-    Sharp on projective space with A = 3H.
-    """
-    K = p.canonical
-    expr = Fraction(1, 2) * expand_divisors(K + 2 * A, A, A) + NumberExpr.chi_o_atom()
-    return p.number_eval(expr)
+
+# the evaluated bounds by rule name, shared by the CLI and the catalog
+BOUND_RULES = {
+    "fukuma-ka": bound_fukuma_ka,
+    "fukuma-gap": bound_fukuma_gap,
+    "nefbig": bound_nefbig,
+    "bs": bound_bs,
+}
 
 
 def _require_ample(p: ThreefoldProfile, A: DivisorExpr) -> PositivityFlag:

@@ -1,16 +1,15 @@
 """Built-in validated example profiles and their pinned expected values.
 
-Every entry passes `validate_profile` and carries a list of
+Every entry passes `ThreefoldProfile.validate` and carries a list of
 machine-checkable expected values in a tiny description language, so the
 catalog doubles as a regression corpus:
 
     chi(<divisor>)        characteristic of the divisor
     triple(<d>,<d>,<d>)   triple intersection number
     c2pair(<divisor>)     pairing with the second Chern class
-    fukuma-ka(<A>)        1/18 * (K+2A).A.(K + 5/4 A)
-    fukuma-gap(<A>)       1/12 * [A.(K+2A).(K + 19/3 A) + A^3]
-    nefbig(<A>)           -1/2 * K.(K+A)^2 + 2 chi_O
-    bs(<A>)               1/2 * (K+2A).A^2 + chi_O
+    <rule>(<A>)           a bound of `bounds.BOUND_RULES`: fukuma-ka,
+                          fukuma-gap, nefbig or bs, whose formulas are
+                          written once in `bounds`
 
 Divisor arguments use the command-line grammar and may reference named
 divisors and the canonical class K.
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .birational import blow_up_curve, blow_up_point
-from .bounds import bound_bs, bound_fukuma_gap, bound_fukuma_ka, bound_nefbig
+from .bounds import BOUND_RULES
 from .core import CalcError, DivisorExpr, format_rational, rat
 from .profile import FlagKind, ThreefoldProfile, flag
 from .riemann_roch import chi_line_bundle
@@ -324,13 +323,10 @@ def check_expected(entry: CatalogEntry) -> list[str]:
 
     p = entry.profile
     ops = {
-        "chi": lambda args: chi_line_bundle(p, args[0]),
-        "triple": lambda args: p.triple_eval(*args),
-        "c2pair": lambda args: p.c2_pair(args[0]),
-        "fukuma-ka": lambda args: bound_fukuma_ka(p, args[0]),
-        "fukuma-gap": lambda args: bound_fukuma_gap(p, args[0]),
-        "nefbig": lambda args: bound_nefbig(p, args[0]),
-        "bs": lambda args: bound_bs(p, args[0]),
+        "chi": chi_line_bundle,
+        "triple": ThreefoldProfile.triple_eval,
+        "c2pair": ThreefoldProfile.c2_pair,
+        **BOUND_RULES,
     }
     mismatches = []
     for description, expected in entry.expected_values:
@@ -339,7 +335,7 @@ def check_expected(entry: CatalogEntry) -> list[str]:
             mismatches.append(f"{entry.name}: unreadable description '{description}'")
             continue
         args = [resolve_divisor(p, a) for a in arg_text[:-1].split(",")]
-        actual = ops[op](args)
+        actual = ops[op](p, *args)
         if actual != expected:
             mismatches.append(
                 f"{entry.name}: {description} = {actual}, expected {expected}"

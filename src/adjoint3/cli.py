@@ -14,17 +14,13 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import catalog as catalog_mod
 from .bounds import (
+    BOUND_RULES,
     Certificate,
     FlagContradictionError,
-    bound_bs,
-    bound_fukuma_gap,
-    bound_fukuma_ka,
-    bound_nefbig,
     certify_h0_adjoint,
     certify_h0_bs,
     miyaoka_c2_inequality,
@@ -46,29 +42,25 @@ EXIT_OK = 0
 EXIT_OPERATION = 1
 EXIT_MALFORMED = 2
 
-_MALFORMED_ERRORS = (
-    ProfileFormatError,
-    DivisorParseError,
-    UnknownSymbolError,
-    catalog_mod.UnknownEntryError,
-)
-_OPERATION_ERRORS = (
-    MissingFlagError,
-    FlagContradictionError,
-    NonIntegerChiError,
-    catalog_mod.WitnessNotFoundError,
-)
-
-_BOUND_RULES = {
-    "fukuma-ka": bound_fukuma_ka,
-    "fukuma-gap": bound_fukuma_gap,
-    "nefbig": bound_nefbig,
-    "bs": bound_bs,
+# exit code of each error a single input file can raise; the batch goes on
+_FILE_ERRORS = {
+    ProfileFormatError: EXIT_MALFORMED,
+    DivisorParseError: EXIT_MALFORMED,
+    UnknownSymbolError: EXIT_MALFORMED,
+    catalog_mod.UnknownEntryError: EXIT_MALFORMED,
+    MissingFlagError: EXIT_OPERATION,
+    FlagContradictionError: EXIT_OPERATION,
+    NonIntegerChiError: EXIT_OPERATION,
+    catalog_mod.WitnessNotFoundError: EXIT_OPERATION,
 }
+# errors that end the whole command; the first matching class wins
+_COMMAND_ERRORS = {**_FILE_ERRORS, OSError: EXIT_MALFORMED, CalcError: EXIT_OPERATION}
 
 
-def _error_record(exc: Exception) -> dict:
-    return {"type": type(exc).__name__, "message": str(exc)}
+def _error_report(command: str, exc: Exception, errors: dict, **fields) -> tuple[dict, int]:
+    code = next(code for cls, code in errors.items() if isinstance(exc, cls))
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    return {"command": command, **fields, "error": error}, code
 
 
 def _bound_result(value: Fraction) -> dict:
@@ -99,41 +91,34 @@ def _certificate_record(cert: Certificate, basis) -> dict:
     }
 
 
-def _load_valid_profile(path: str) -> tuple[ThreefoldProfile | None, list[str]]:
+def _load_valid_profile(path: str) -> tuple[ThreefoldProfile, list[str]]:
     profile = load_profile(path)
     return profile, profile.validate()
 
 
-def _run_per_file(args, worker) -> list[tuple[dict, int]]:
-    """Evaluate one report per input file, optionally in parallel.
+def _run_per_file(args, evaluate, **options) -> int:
+    """Print one report per input file, in input order; return the worst exit code.
 
-    The interpreter serializes the pure-python arithmetic, so the thread
-    pool only overlap waits on file I/O; output order always follows the
-    input order regardless of completion order.
+    Each file is loaded and validated.  A profile with violations is
+    reported with them and exit 1; ``evaluate(profile, inputs)`` returns
+    the report fields of a valid one.  With ``evaluate=None`` the
+    validation itself is the result.
     """
-
-    def safe(path: str) -> tuple[dict, int]:
+    reports = []
+    for path in args.files:
+        inputs = {"file": path, **options}
         try:
-            return worker(path)
-        except _MALFORMED_ERRORS as exc:
-            return (
-                {"command": args.command, "inputs": {"file": path}, "error": _error_record(exc)},
-                EXIT_MALFORMED,
-            )
-        except _OPERATION_ERRORS as exc:
-            return (
-                {"command": args.command, "inputs": {"file": path}, "error": _error_record(exc)},
-                EXIT_OPERATION,
-            )
-
-    jobs = max(1, getattr(args, "jobs", 1))
-    if jobs == 1 or len(args.files) == 1:
-        return [safe(path) for path in args.files]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(safe, args.files))
-
-
-def _emit(reports: list[tuple[dict, int]]) -> int:
+            profile, violations = _load_valid_profile(path)
+            report = {"command": args.command, "inputs": inputs}
+            if evaluate is None:
+                report.update(result={"valid": not violations}, violations=violations)
+            elif violations:
+                report["violations"] = violations
+            else:
+                report.update(evaluate(profile, inputs))
+            reports.append((report, EXIT_OPERATION if violations else EXIT_OK))
+        except tuple(_FILE_ERRORS) as exc:
+            reports.append(_error_report(args.command, exc, _FILE_ERRORS, inputs={"file": path}))
     if len(reports) == 1:
         body = reports[0][0]
     else:
@@ -143,53 +128,25 @@ def _emit(reports: list[tuple[dict, int]]) -> int:
 
 
 def _cmd_validate(args) -> int:
-    def worker(path: str) -> tuple[dict, int]:
-        profile = load_profile(path)
-        violations = profile.validate()
-        report = {
-            "command": "validate",
-            "inputs": {"file": path},
-            "result": {"valid": not violations},
-            "violations": violations,
-        }
-        return report, EXIT_OK if not violations else EXIT_OPERATION
-
-    return _emit(_run_per_file(args, worker))
+    return _run_per_file(args, None)
 
 
 def _cmd_chi(args) -> int:
-    def worker(path: str) -> tuple[dict, int]:
-        profile, violations = _load_valid_profile(path)
-        inputs = {"file": path, "divisor": args.divisor}
-        if violations:
-            return (
-                {"command": "chi", "inputs": inputs, "violations": violations},
-                EXIT_OPERATION,
-            )
+    def evaluate(profile: ThreefoldProfile, inputs: dict) -> dict:
         divisor = resolve_divisor(profile, args.divisor)
         value = chi_line_bundle(profile, divisor)
-        report = {
-            "command": "chi",
-            "inputs": inputs,
+        return {
             "result": {
                 "divisor": format_divisor(divisor, profile.basis),
                 "chi": format_rational(value),
-            },
+            }
         }
-        return report, EXIT_OK
 
-    return _emit(_run_per_file(args, worker))
+    return _run_per_file(args, evaluate, divisor=args.divisor)
 
 
 def _cmd_bound(args) -> int:
-    def worker(path: str) -> tuple[dict, int]:
-        profile, violations = _load_valid_profile(path)
-        inputs = {"file": path, "divisor": args.divisor, "rule": args.rule}
-        if violations:
-            return (
-                {"command": "bound", "inputs": inputs, "violations": violations},
-                EXIT_OPERATION,
-            )
+    def evaluate(profile: ThreefoldProfile, inputs: dict) -> dict:
         ample_divisor = resolve_divisor(profile, args.divisor)
         if args.rule == "miyaoka":
             pairing = resolve_divisor(profile, args.ample or args.divisor)
@@ -202,34 +159,23 @@ def _cmd_bound(args) -> int:
                 "hypotheses_met": met,
             }
         else:
-            result = _bound_result(_BOUND_RULES[args.rule](profile, ample_divisor))
-        return {"command": "bound", "inputs": inputs, "result": result}, EXIT_OK
+            result = _bound_result(BOUND_RULES[args.rule](profile, ample_divisor))
+        return {"result": result}
 
-    return _emit(_run_per_file(args, worker))
+    return _run_per_file(args, evaluate, divisor=args.divisor, rule=args.rule)
 
 
 def _cmd_certify(args) -> int:
-    def worker(path: str) -> tuple[dict, int]:
-        profile, violations = _load_valid_profile(path)
-        inputs = {"file": path, "divisor": args.divisor, "target": args.target}
-        if violations:
-            return (
-                {"command": "certify", "inputs": inputs, "violations": violations},
-                EXIT_OPERATION,
-            )
+    def evaluate(profile: ThreefoldProfile, inputs: dict) -> dict:
         ample_divisor = resolve_divisor(profile, args.divisor)
         certifier = certify_h0_adjoint if args.target == "adjoint" else certify_h0_bs
-        cert = certifier(profile, ample_divisor)
-        record = _certificate_record(cert, profile.basis)
-        report = {
-            "command": "certify",
-            "inputs": inputs,
+        record = _certificate_record(certifier(profile, ample_divisor), profile.basis)
+        return {
             "result": {"conclusion": record["conclusion"], "route": record["route"]},
             "certificate": record,
         }
-        return report, EXIT_OK
 
-    return _emit(_run_per_file(args, worker))
+    return _run_per_file(args, evaluate, divisor=args.divisor, target=args.target)
 
 
 def _parse_curve_spec(text: str) -> tuple[int, dict[str, Fraction]]:
@@ -353,12 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_files(p):
         p.add_argument("files", nargs="+", help="profile JSON file(s)")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="evaluate multiple files concurrently (output keeps input order)",
-        )
 
     p = sub.add_parser("validate", help="check profile invariants")
     add_files(p)
@@ -370,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="evaluate a section lower bound")
     add_files(p)
     p.add_argument("--divisor", required=True, help="the ample divisor A")
-    p.add_argument("--rule", required=True, choices=[*_BOUND_RULES, "miyaoka"])
+    p.add_argument("--rule", required=True, choices=[*BOUND_RULES, "miyaoka"])
     p.add_argument(
         "--ample",
         help="second divisor for the miyaoka rule (defaults to --divisor)",
@@ -425,35 +365,10 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except _MALFORMED_ERRORS as exc:
-        print(
-            json.dumps(
-                {"command": args.command, "error": _error_record(exc)}, indent=2
-            )
-        )
-        return EXIT_MALFORMED
-    except _OPERATION_ERRORS as exc:
-        print(
-            json.dumps(
-                {"command": args.command, "error": _error_record(exc)}, indent=2
-            )
-        )
-        return EXIT_OPERATION
-    except OSError as exc:
-        print(
-            json.dumps(
-                {"command": args.command, "error": _error_record(exc)}, indent=2
-            )
-        )
-        return EXIT_MALFORMED
-    except CalcError as exc:
-        print(
-            json.dumps(
-                {"command": args.command, "error": _error_record(exc)}, indent=2
-            )
-        )
-        return EXIT_OPERATION
-
+    except tuple(_COMMAND_ERRORS) as exc:
+        report, code = _error_report(args.command, exc, _COMMAND_ERRORS)
+        print(json.dumps(report, indent=2))
+        return code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -52,10 +52,10 @@ class DoubleC2AtomError(CalcError):
 
 
 def rat(value: RationalInput) -> Fraction:
-    """Coerce to an exact rational. Floats are rejected, never rounded."""
+    """Coerce to an exact rational. Floats and booleans are rejected, never coerced."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())

@@ -16,7 +16,7 @@ are matched exactly as canonical divisor expressions; no rescaling is
 applied.
 
 The triple tensor is stored exactly as supplied so that symmetry damage is
-observable by `validate_profile`; evaluation symmetrises through sorted
+observable by `ThreefoldProfile.validate`; evaluation symmetrises through sorted
 lookups, preferring the lexicographically smallest stored permutation of
 each index triple.
 """
@@ -406,21 +406,3 @@ class ThreefoldProfile:
             f"chi_O={self.chi_O})"
         )
 
-
-def validate_profile(p: ThreefoldProfile) -> list[str]:
-    """Module-level alias for `ThreefoldProfile.validate`."""
-    return p.validate()
-
-
-def triple_eval(
-    p: ThreefoldProfile, d1: DivisorExpr, d2: DivisorExpr, d3: DivisorExpr
-) -> Fraction:
-    return p.triple_eval(d1, d2, d3)
-
-
-def c2_pair_eval(p: ThreefoldProfile, d: DivisorExpr) -> Fraction:
-    return p.c2_pair(d)
-
-
-def number_eval(p: ThreefoldProfile, n: NumberExpr) -> Fraction:
-    return p.number_eval(n)

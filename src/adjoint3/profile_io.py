@@ -63,7 +63,10 @@ def parse_divisor(text: str) -> DivisorExpr:
             raise DivisorParseError(
                 f"missing '+' or '-' between terms in '{text}' at position {pos}"
             )
-        value = rat(coef) if coef is not None else Fraction(1)
+        try:
+            value = rat(coef) if coef is not None else Fraction(1)
+        except ZeroDivisionError as exc:
+            raise DivisorParseError(f"zero denominator in '{text}' at position {pos}") from exc
         if sign == "-":
             value = -value
         terms.append((sym, value))
@@ -191,17 +194,25 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
     for record in records:
         if not isinstance(record, dict) or not {"i", "j", "k", "value"} <= set(record):
             raise ProfileFormatError(f"bad triple record: {record!r}")
+        ijk = tuple(record[x] for x in ("i", "j", "k"))
+        if not all(type(x) is int for x in ijk):
+            raise ProfileFormatError(f"triple indices must be integers: {record!r}")
         try:
-            ijk = tuple(int(record[x]) for x in ("i", "j", "k"))
             value = rat(record["value"])
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ProfileFormatError(f"bad triple record {record!r}: {exc}") from exc
         if not all(0 <= x < len(basis) for x in ijk):
             raise ProfileFormatError(f"triple indices out of range: {record!r}")
-        triple[tuple(basis[x] for x in ijk)] = value
+        key = tuple(basis[x] for x in ijk)
+        if key in triple:
+            raise ProfileFormatError(f"duplicate triple record: {record!r}")
+        triple[key] = value
 
     flags = []
-    for record in obj.get("flags", []):
+    records = obj.get("flags", [])
+    if not isinstance(records, list):
+        raise ProfileFormatError("'flags' must be a list of {kind, subject} records")
+    for record in records:
         if not isinstance(record, dict) or "kind" not in record:
             raise ProfileFormatError(f"bad flag record: {record!r}")
         try:
@@ -209,6 +220,8 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
         except ValueError as exc:
             raise ProfileFormatError(f"unknown flag kind {record['kind']!r}") from exc
         subject_text = record.get("subject")
+        if subject_text is not None and not isinstance(subject_text, str):
+            raise ProfileFormatError(f"flag subject must be a string: {record!r}")
         try:
             subject = None if subject_text is None else parse_divisor(subject_text)
             flags.append(PositivityFlag(kind, subject))
@@ -216,7 +229,7 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
             raise ProfileFormatError(f"bad flag record {record!r}: {exc}") from exc
 
     named = obj.get("named_divisors", {})
-    if not isinstance(named, dict):
+    if not isinstance(named, dict) or not all(isinstance(t, str) for t in named.values()):
         raise ProfileFormatError("'named_divisors' must map names to expressions")
     try:
         named_divisors = {name: parse_divisor(text) for name, text in named.items()}

@@ -16,6 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import (
+    bs_class,
+    fukuma_gap_class,
+    fukuma_ka_class,
+    miyaoka_correction,
+    nefbig_class,
+)
 from .core import (
     CalcError,
     ClassExpr,
@@ -99,43 +106,29 @@ def chi_identity_suite() -> list[tuple[str, bool]]:
     def chi(x: ClassExpr) -> NumberExpr:
         return chi_class(x, K)
 
-    # the quadratic correction from the twisted cotangent bundle on a
-    # threefold: 2/3 * K.A + 1/3 * A^2
-    q = Fraction(2, 3) * (K * A) + Fraction(1, 3) * (A * A)
+    q = miyaoka_correction(K, A)
+    gap = expand_product([K + 2 * A, A, K + 7 * A])  # cubic part of chi(K+2A) - chi(K+A)
 
-    results: list[tuple[str, bool]] = []
-
-    lhs = chi(K + A) - chi(2 * K + A)
-    rhs = Fraction(-1, 2) * expand_product([K, K + A, K + A]) + 2 * NumberExpr.chi_o_atom()
-    results.append(("chi(K+A)-chi(2K+A)", identity_check(lhs, rhs)))
-
-    lhs = chi(K + 2 * A) - 2 * chi(K + A)
-    rhs = Fraction(1, 2) * expand_product([K + 2 * A, A, A]) + NumberExpr.chi_o_atom()
-    results.append(("chi(K+2A)-2chi(K+A)", identity_check(lhs, rhs)))
-
-    lhs = chi(K + 2 * A) - chi(K + A)
-    rhs = _TWELFTH * expand_product([K + 2 * A, A, K + 7 * A]) + _TWELFTH * expand_product(
-        [ClassExpr.c2_atom(), A]
+    # the bound identities prove the very formulas the bound rules evaluate
+    identities = (
+        ("chi(K+A)-chi(2K+A)", chi(K + A) - chi(2 * K + A), nefbig_class(K, A)),
+        ("chi(K+2A)-2chi(K+A)", chi(K + 2 * A) - 2 * chi(K + A), bs_class(K, A)),
+        (
+            "chi(K+2A)-chi(K+A)",
+            chi(K + 2 * A) - chi(K + A),
+            _TWELFTH * (gap + expand_product([ClassExpr.c2_atom(), A])),
+        ),
+        (
+            "c2-elimination-adjoint",
+            _TWELFTH * expand_product([K + A, A, K + 2 * A])
+            - Fraction(1, 24) * expand_product([K + 2 * A, q]),
+            fukuma_ka_class(K, A),
+        ),
+        (
+            "c2-elimination-gap",
+            _TWELFTH * (gap - expand_product([A, q])),
+            fukuma_gap_class(K, A),
+        ),
+        ("serre-duality-sign", chi(K - D), -chi(D)),
     )
-    results.append(("chi(K+2A)-chi(K+A)", identity_check(lhs, rhs)))
-
-    lhs = _TWELFTH * expand_product([K + A, A, K + 2 * A]) - Fraction(
-        1, 24
-    ) * expand_product([K + 2 * A, q])
-    rhs = Fraction(1, 18) * expand_product([K + 2 * A, A, K + Fraction(5, 4) * A])
-    results.append(("c2-elimination-adjoint", identity_check(lhs, rhs)))
-
-    lhs = _TWELFTH * (
-        expand_product([K + 2 * A, A, K + 7 * A]) - expand_product([A, q])
-    )
-    rhs = _TWELFTH * (
-        expand_product([A, K + 2 * A, K + Fraction(19, 3) * A])
-        + expand_product([A, A, A])
-    )
-    results.append(("c2-elimination-gap", identity_check(lhs, rhs)))
-
-    lhs = chi(K - D)
-    rhs = -chi(D)
-    results.append(("serre-duality-sign", identity_check(lhs, rhs)))
-
-    return results
+    return [(name, identity_check(lhs, rhs)) for name, lhs, rhs in identities]

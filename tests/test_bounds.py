@@ -9,6 +9,7 @@ from adjoint3 import (
     BASEPOINTFREE,
     CH02_THM42,
     Certificate,
+    ClassExpr,
     Conclusion,
     DivisorExpr,
     FANO_TRIVIAL,
@@ -29,6 +30,7 @@ from adjoint3 import (
     get,
     identity_check,
     miyaoka_c2_inequality,
+    miyaoka_correction,
 )
 from adjoint3.bounds import (
     ROUTE_ANTICANONICAL,
@@ -72,6 +74,10 @@ class TestGenericNefPairing:
 
 
 class TestMiyaokaInequality:
+    def test_correction_is_derived_from_the_twisted_cotangent_bundle(self):
+        K, A = ClassExpr.symbol("K"), ClassExpr.symbol("A")
+        assert miyaoka_correction(K, A) == Fraction(2, 3) * (K * A) + Fraction(1, 3) * (A * A)
+
     def test_quintic(self):
         q5 = get("Q5").profile
         out = miyaoka_c2_inequality(q5, H, H)
@@ -133,6 +139,14 @@ class TestBoundValues:
             p.triple_eval(k + 2 * a, a, k + 7 * a) + p.c2_pair(a)
         )
         assert chi(k + 2 * a) - chi(k + a) == gap_with_c2
+        # the c2-eliminated bounds against their product forms, evaluated
+        # directly on the tensor rather than through the symbolic ring
+        assert bound_fukuma_ka(p, a) == Fraction(1, 18) * p.triple_eval(
+            k + 2 * a, a, k + Fraction(5, 4) * a
+        )
+        assert bound_fukuma_gap(p, a) == Fraction(1, 12) * (
+            p.triple_eval(a, k + 2 * a, k + Fraction(19, 3) * a) + p.triple_eval(a, a, a)
+        )
 
     def test_refined_lower_bound_identity(self):
         # 1/18 (K+2A).A.(K+5/4 A) = 5/36 A^3 + 1/8 K.A^2 + 1/18 K.(K+A).A

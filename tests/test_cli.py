@@ -1,9 +1,13 @@
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from adjoint3 import get, parse_profile, serialize_profile
+from adjoint3 import bounds, catalog, cli, get, parse_profile, serialize_profile
 from adjoint3.cli import main
+
+GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
 
 def run(capsys, *argv):
@@ -50,6 +54,38 @@ class TestValidate:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ProfileFormatError"
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda o: o["triple"][0].update(i=0.7), id="fractional-index"),
+            pytest.param(lambda o: o["triple"][0].update(i="0"), id="string-index"),
+            pytest.param(lambda o: o["triple"][0].update(i=False), id="boolean-index"),
+            pytest.param(
+                lambda o: o["triple"].append({"i": 0, "j": 0, "k": 0, "value": "11/1"}),
+                id="duplicate-record",
+            ),
+            pytest.param(lambda o: o["named_divisors"].update(H=1), id="named-divisor-number"),
+            pytest.param(lambda o: o["flags"][0].update(subject=3), id="flag-subject-number"),
+            pytest.param(
+                lambda o: o["named_divisors"].update(H="1/0*H"), id="named-divisor-zero-denominator"
+            ),
+            pytest.param(lambda o: o["flags"][0].update(subject="1/0*H"), id="flag-subject-zero-denominator"),
+            pytest.param(lambda o: o.update(flags=5), id="flags-not-a-list"),
+            pytest.param(lambda o: o.update(chi_O=True), id="boolean-chi_O"),
+            pytest.param(lambda o: o.update(c2=[True]), id="boolean-c2"),
+            pytest.param(lambda o: o["triple"][0].update(value=True), id="boolean-triple-value"),
+        ],
+    )
+    def test_malformed_profile_is_rejected(self, capsys, tmp_path, corrupt):
+        # each defect once passed silently (or crashed); all must exit 2
+        obj = json.loads(serialize_profile(get("P3").profile))
+        corrupt(obj)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out = run(capsys, "chi", str(path), "--divisor", "H")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ProfileFormatError"
+
 
 class TestChi:
     def test_hyperplane(self, capsys, p3_file):
@@ -72,6 +108,11 @@ class TestChi:
         code, out = run(capsys, "chi", p3_file, "--divisor", "Q")
         assert code == 2
         assert json.loads(out)["error"]["type"] == "UnknownSymbolError"
+
+    def test_zero_denominator_is_malformed_input(self, capsys, p3_file):
+        code, out = run(capsys, "chi", p3_file, "--divisor", "1/0H")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "DivisorParseError"
 
 
 class TestBound:
@@ -203,10 +244,8 @@ class TestDeterminismAndBatch:
             path = tmp_path / f"{name}.json"
             path.write_text(serialize_profile(get(name).profile), encoding="utf-8")
             files.append(str(path))
-        _, sequential = run(capsys, "chi", *files, "--divisor", "2H")
-        _, parallel = run(capsys, "chi", *files, "--divisor", "2H", "--jobs", "3")
-        assert sequential == parallel
-        reports = json.loads(sequential)
+        _, out = run(capsys, "chi", *files, "--divisor", "2H")
+        reports = json.loads(out)
         assert [r["inputs"]["file"] for r in reports] == files
         assert [r["result"]["chi"] for r in reports] == ["10/1", "15/1", "10/1"]
 
@@ -216,6 +255,37 @@ class TestDeterminismAndBatch:
         reports = json.loads(out)
         assert reports[0]["result"]["valid"] is True
         assert reports[1]["result"]["valid"] is False
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("command", list(GOLDEN))
+    def test_golden_bytes(self, capsys, tmp_path, monkeypatch, command):
+        # captured before the bound formulas were shared between the
+        # evaluator and the identity suite; stdout must not move by a byte
+        monkeypatch.chdir(tmp_path)
+        for name in ("P3", "Q5"):
+            Path(f"{name}.json").write_text(serialize_profile(get(name).profile))
+        expected = GOLDEN[command]
+        code, out = run(capsys, *command.split())
+        assert code == expected["exit"]
+        assert out == expected["stdout"]
+
+    def test_one_table_of_bound_rules(self, capsys, p3_file, monkeypatch):
+        rules = bounds.BOUND_RULES
+        assert cli.BOUND_RULES is rules
+        assert rules == {
+            "fukuma-ka": bounds.bound_fukuma_ka,
+            "fukuma-gap": bounds.bound_fukuma_gap,
+            "nefbig": bounds.bound_nefbig,
+            "bs": bounds.bound_bs,
+        }
+        # the CLI and the catalog look each rule up in the shared table
+        monkeypatch.setitem(rules, "bs", lambda p, a: Fraction(7, 3))
+        _, out = run(capsys, "bound", p3_file, "--divisor", "3H", "--rule", "bs")
+        assert json.loads(out)["result"]["rational"] == "7/3"
+        assert catalog.check_expected(get("P3")) == [
+            "P3: bs(3*H) = 7/3, expected 10"
+        ]
 
 
 class TestRoundTrip:

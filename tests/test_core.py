@@ -34,6 +34,12 @@ def test_rat_rejects_floats():
         rat(0.5)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_rat_rejects_booleans(value):
+    with pytest.raises(TypeError):
+        rat(value)
+
+
 def test_format_rational_always_writes_denominator():
     assert format_rational(Fraction(4)) == "4/1"
     assert format_rational(Fraction(-5, 3)) == "-5/3"

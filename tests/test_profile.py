@@ -14,7 +14,6 @@ from adjoint3 import (
     expand_divisors,
     flag,
     get,
-    validate_profile,
 )
 
 from conftest import random_divisor, random_valid_profile
@@ -37,10 +36,10 @@ def p3_profile(**overrides):
 
 class TestValidation:
     def test_consistent_profile_is_clean(self):
-        assert validate_profile(p3_profile()) == []
+        assert p3_profile().validate() == []
 
     def test_chiox_violation(self):
-        violations = validate_profile(p3_profile(chi_O=2))
+        violations = p3_profile(chi_O=2).validate()
         assert violations == ["chiox inconsistency: -24 != -48"]
 
     def test_symmetry_violation(self):

@@ -178,19 +178,31 @@ def _cmd_certify(args) -> int:
     return _run_per_file(args, evaluate, divisor=args.divisor, target=args.target)
 
 
+def _parse_rational(text: str, what: str) -> Fraction:
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DivisorParseError(f"{what} '{text}' is not a rational p/q") from exc
+
+
 def _parse_curve_spec(text: str) -> tuple[int, dict[str, Fraction]]:
     genus: int | None = None
     degrees: dict[str, Fraction] = {}
     for part in text.split(","):
         part = part.strip()
         if part.startswith("g="):
-            genus = int(part[2:])
+            try:
+                genus = int(part[2:])
+            except ValueError as exc:
+                raise DivisorParseError(f"genus '{part[2:]}' is not an integer") from exc
+            if genus < 0:
+                raise DivisorParseError(f"genus {genus} is negative")
         elif part.startswith("deg="):
             for pair in part[4:].split(";"):
                 sym, sep, value = pair.partition(":")
                 if not sep:
                     raise DivisorParseError(f"curve degree '{pair}' is not SYM:value")
-                degrees[sym.strip()] = rat(value)
+                degrees[sym.strip()] = _parse_rational(value, "curve degree")
         else:
             raise DivisorParseError(f"unrecognized curve component '{part}'")
     if genus is None:
@@ -268,7 +280,7 @@ def _cmd_witness(args) -> int:
             )
         )
         return EXIT_OPERATION
-    eps_list = [rat(e) for e in args.eps] if args.eps else None
+    eps_list = [_parse_rational(e, "eps") for e in args.eps] if args.eps else None
     eps, value = catalog_mod.bad_anticanonical_witness(profile, eps_list)
     polarization = profile.named_divisors.get("H")
     if polarization is None:

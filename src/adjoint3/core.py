@@ -19,12 +19,14 @@ the relation tying the two atoms together on any threefold.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 Rational = Fraction
 RationalInput = Union[Fraction, int, str]
+_K = TypeVar("_K")
 
 _ZERO = Fraction(0)
 _CHI_PER_CANONICAL_C2 = Fraction(-1, 24)
@@ -63,6 +65,18 @@ def rat(value: RationalInput) -> Fraction:
         f"expected an exact rational (int, Fraction or 'p/q' string), "
         f"got {type(value).__name__}"
     )
+
+
+def scaled_to_integers(
+    coeffs: Mapping[_K, Fraction],
+) -> tuple[int, list[tuple[_K, int]]]:
+    """The lcm L of the coefficients' denominators and each coefficient times L.
+
+    Exact sums of products of the integers, divided once at the end, equal
+    the same sums taken in `Fraction`s.
+    """
+    scale = math.lcm(*(v.denominator for v in coeffs.values()))
+    return scale, [(k, v.numerator * (scale // v.denominator)) for k, v in coeffs.items()]
 
 
 def format_rational(value: Fraction) -> str:
@@ -313,11 +327,16 @@ class ClassExpr:
         if total > 3:
             # everything above the threefold dimension is the zero class
             return NumberExpr.zero()
-        poly: dict[tuple[str, ...], Fraction] = {}
-        for k1, v1 in self._terms.items():
-            for k2, v2 in other._terms.items():
+        # integer products over l1 * l2, one Fraction per monomial
+        l1, left = scaled_to_integers(self._terms)
+        l2, right = scaled_to_integers(other._terms)
+        acc: dict[tuple[str, ...], int] = {}
+        for k1, v1 in left:
+            for k2, v2 in right:
                 key = tuple(sorted(k1 + k2))
-                poly[key] = poly.get(key, _ZERO) + v1 * v2
+                acc[key] = acc.get(key, 0) + v1 * v2
+        scale = l1 * l2
+        poly = {key: Fraction(v, scale) for key, v in acc.items() if v}
         if total <= 2:
             # degrees here are 1+1, so neither factor can carry the atom
             return ClassExpr(total, poly)

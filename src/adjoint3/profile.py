@@ -16,9 +16,16 @@ are matched exactly as canonical divisor expressions; no rescaling is
 applied.
 
 The triple tensor is stored exactly as supplied so that symmetry damage is
-observable by `ThreefoldProfile.validate`; evaluation symmetrises through sorted
-lookups, preferring the lexicographically smallest stored permutation of
-each index triple.
+observable by `ThreefoldProfile.validate`.  Evaluation reads a symmetrised
+view in which the lexicographically smallest stored permutation of each
+index triple wins.  On a profile's first evaluation that view is compiled
+into an `IntegerTensor`: one common denominator L and a dense integer
+tensor T on basis positions, where T[i][j][k] / L is the symmetrised
+value of the triple, in every order of i, j and k.  Evaluations multiply integers
+and build one `Fraction` at the end, so they return the very rationals
+the `Fraction` arithmetic would.  Copies made by `with_flags` and
+`with_named_divisors` share the compiled form; construction, parsing,
+validation, serialization and blow-ups never compile it.
 """
 
 from __future__ import annotations
@@ -26,8 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     CalcError,
@@ -36,6 +44,7 @@ from .core import (
     RationalInput,
     UnknownSymbolError,
     rat,
+    scaled_to_integers,
 )
 
 _ZERO = Fraction(0)
@@ -150,6 +159,36 @@ def _coerce_divisor(value) -> DivisorExpr:
     raise TypeError("expected a DivisorExpr or a symbol->rational mapping")
 
 
+class IntegerTensor(NamedTuple):
+    """The symmetrised triple tensor as integers over one common denominator.
+
+    ``entries[i][j][k] / denominator`` is the value on the basis symbols at
+    positions i, j and k, in any order; ``position`` maps each basis symbol
+    to its index.
+    """
+
+    position: dict[str, int]
+    denominator: int
+    entries: list[list[list[int]]]
+
+
+def _compile_tensor(
+    basis: tuple[str, ...], sym_triple: Mapping[tuple[str, str, str], Fraction]
+) -> IntegerTensor:
+    position = {s: i for i, s in enumerate(basis)}
+    n = len(basis)
+    denominator, scaled = scaled_to_integers(sym_triple)
+    entries = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (a, b, c), v in scaled:
+        try:
+            i, j, k = position[a], position[b], position[c]
+        except KeyError:  # no divisor over the basis reaches this entry
+            continue
+        entries[i][j][k] = entries[i][k][j] = entries[j][i][k] = v
+        entries[j][k][i] = entries[k][i][j] = entries[k][j][i] = v
+    return IntegerTensor(position, denominator, entries)
+
+
 class ThreefoldProfile:
     """Finite intersection-theoretic model of a smooth projective threefold.
 
@@ -171,6 +210,7 @@ class ThreefoldProfile:
         "flags",
         "named_divisors",
         "_sym_triple",
+        "_compiled",
     )
 
     def __init__(
@@ -219,13 +259,21 @@ class ThreefoldProfile:
             if skey not in sym:
                 sym[skey] = stored[key]
         self._sym_triple = sym
+        # the IntegerTensor of `sym`, made on first use; shared with derived copies
+        self._compiled: list[IntegerTensor | None] = [None]
 
     # -- evaluation ---------------------------------------------------
 
-    def _check_symbols(self, d: DivisorExpr, where: str) -> None:
-        for s in d.symbols():
+    def _check_symbols(self, d: DivisorExpr | NumberExpr, where: str) -> None:
+        for s in sorted(d.symbols()):
             if s not in self.basis:
                 raise UnknownSymbolError(s, where)
+
+    def _tensor(self) -> IntegerTensor:
+        cell = self._compiled
+        if cell[0] is None:
+            cell[0] = _compile_tensor(self.basis, self._sym_triple)
+        return cell[0]
 
     def symmetric_triple(self) -> dict[tuple[str, str, str], Fraction]:
         """Canonical symmetrised tensor on sorted triples, zeros dropped."""
@@ -237,15 +285,23 @@ class ThreefoldProfile:
         """Trilinear, symmetric extension of the stored tensor."""
         for i, d in enumerate((d1, d2, d3), start=1):
             self._check_symbols(d, f"triple_eval argument {i}")
-        total = _ZERO
-        for s1, c1 in d1.items():
-            for s2, c2 in d2.items():
-                c12 = c1 * c2
-                for s3, c3 in d3.items():
-                    v = self._sym_triple.get(tuple(sorted((s1, s2, s3))))
-                    if v:
-                        total += c12 * c3 * v
-        return total
+        position, denominator, entries = self._tensor()
+        vectors = []
+        for d in (d1, d2, d3):
+            scale, scaled = scaled_to_integers(d.coefficients)
+            denominator *= scale
+            vectors.append([(position[s], v) for s, v in scaled])
+        # the tensor is symmetric: the two sparsest divisors pick the rows,
+        # and each row is dotted with the densest one
+        a, b, c = sorted(vectors, key=len)
+        dense = [0] * len(position)
+        for k, v in c:
+            dense[k] = v
+        total = 0
+        for i, v in a:
+            rows = entries[i]
+            total += v * sum(w * sum(map(mul, rows[j], dense)) for j, w in b)
+        return Fraction(total, denominator)
 
     def c2_pair(self, d: DivisorExpr) -> Fraction:
         """Linear extension of the c2 pairing vector."""
@@ -254,16 +310,17 @@ class ThreefoldProfile:
 
     def number_eval(self, n: NumberExpr) -> Fraction:
         """Evaluate a symbolic number against this profile."""
-        for s in n.symbols():
-            if s not in self.basis:
-                raise UnknownSymbolError(s, "number_eval")
+        self._check_symbols(n, "number_eval")
         total = n.constant + n.chi_o_coeff * self.chi_O
-        for key, v in n.cubic_terms.items():
-            t = self._sym_triple.get(key)
-            if t:
-                total += v * t
         for s, v in n.c2_pairings.items():
             total += v * self.c2_vector.get(s, _ZERO)
+        if n.cubic_terms:
+            position, denominator, entries = self._tensor()
+            scale, scaled = scaled_to_integers(n.cubic_terms)
+            cubic = 0
+            for (a, b, c), v in scaled:
+                cubic += v * entries[position[a]][position[b]][position[c]]
+            total += Fraction(cubic, scale * denominator)
         return total
 
     # -- flags ----------------------------------------------------------
@@ -297,30 +354,27 @@ class ThreefoldProfile:
 
     # -- derived copies ---------------------------------------------------
 
-    def with_flags(self, *new_flags: PositivityFlag, replace: bool = False):
-        flags = frozenset(new_flags) if replace else self.flags | frozenset(new_flags)
-        return ThreefoldProfile(
+    def _derived(self, flags, named_divisors) -> "ThreefoldProfile":
+        copy = ThreefoldProfile(
             self.basis,
             self.triple,
             self.c2_vector,
             self.chi_O,
             self.canonical,
             flags,
-            self.named_divisors,
+            named_divisors,
         )
+        copy._compiled = self._compiled  # same basis and tensor
+        return copy
+
+    def with_flags(self, *new_flags: PositivityFlag, replace: bool = False):
+        flags = frozenset(new_flags) if replace else self.flags | frozenset(new_flags)
+        return self._derived(flags, self.named_divisors)
 
     def with_named_divisors(self, **named: DivisorExpr):
         merged = dict(self.named_divisors)
         merged.update(named)
-        return ThreefoldProfile(
-            self.basis,
-            self.triple,
-            self.c2_vector,
-            self.chi_O,
-            self.canonical,
-            self.flags,
-            merged,
-        )
+        return self._derived(self.flags, merged)
 
     # -- validation ------------------------------------------------------
 
@@ -342,17 +396,17 @@ class ThreefoldProfile:
             if s not in basis:
                 out.append(f"unknown symbol '{s}' in c2 vector")
         unknown_core = bool(out)
-        for s in self.canonical.symbols():
+        for s in sorted(self.canonical.symbols()):
             if s not in basis:
                 out.append(f"unknown symbol '{s}' in canonical class")
                 unknown_core = True
         for name, d in sorted(self.named_divisors.items()):
-            for s in d.symbols():
+            for s in sorted(d.symbols()):
                 if s not in basis:
                     out.append(f"unknown symbol '{s}' in named divisor '{name}'")
         for f in sorted(self.flags, key=str):
             if f.subject is not None:
-                for s in f.subject.symbols():
+                for s in sorted(f.subject.symbols()):
                     if s not in basis:
                         out.append(f"unknown symbol '{s}' in flag {f}")
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import adjoint3
 from adjoint3 import bounds, catalog, cli, get, parse_profile, serialize_profile
 from adjoint3.cli import main
 
@@ -85,6 +89,28 @@ class TestValidate:
         code, out = run(capsys, "chi", str(path), "--divisor", "H")
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ProfileFormatError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["blowup", "P3.json", "--curve", "g=x,deg=H:1"], id="genus-not-integer"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=-1,deg=H:1"], id="genus-negative"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:abc"], id="degree-not-rational"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1/0"], id="degree-zero-denominator"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "abc"], id="eps-not-rational"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "1/0"], id="eps-zero-denominator"),
+        ],
+    )
+    def test_malformed_command_line_number(self, capsys, tmp_path, monkeypatch, argv):
+        # each once escaped as a traceback with exit 1
+        monkeypatch.chdir(tmp_path)
+        for name in ("P3", "Pencil5"):
+            Path(f"{name}.json").write_text(serialize_profile(get(name).profile))
+        code, out = run(capsys, *argv, *(["--symbol", "E"] if argv[0] == "blowup" else []))
+        assert code == 2
+        report = json.loads(out)
+        assert report["command"] == argv[0]
+        assert report["error"]["type"] == "DivisorParseError"
 
 
 class TestChi:
@@ -249,6 +275,28 @@ class TestDeterminismAndBatch:
         assert [r["inputs"]["file"] for r in reports] == files
         assert [r["result"]["chi"] for r in reports] == ["10/1", "15/1", "10/1"]
 
+    def test_validate_bytes_do_not_depend_on_hash_seed(self, tmp_path):
+        # unknown symbols were once listed in frozenset order, which moves
+        # with PYTHONHASHSEED (X, Z, Y under seed 1; Y, X, Z under seed 3)
+        obj = json.loads(serialize_profile(get("P3").profile))
+        obj["canonical"] = "-4*H + X + Y + Z"
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        src = str(Path(adjoint3.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("1", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-m", "adjoint3.cli", "validate", str(path)],
+                env=env, capture_output=True, check=False,
+            )
+            assert proc.returncode == 1
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert [v for v in json.loads(outputs[0])["violations"] if "canonical" in v] == [
+            f"unknown symbol '{s}' in canonical class" for s in "XYZ"
+        ]
+
     def test_batch_exit_code_is_worst_case(self, capsys, p3_file, corrupt_file):
         code, out = run(capsys, "validate", p3_file, corrupt_file)
         assert code == 1
@@ -261,9 +309,11 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("command", list(GOLDEN))
     def test_golden_bytes(self, capsys, tmp_path, monkeypatch, command):
         # captured before the bound formulas were shared between the
-        # evaluator and the identity suite; stdout must not move by a byte
+        # evaluator and the identity suite (identities, bound), and before
+        # evaluation moved to the integer tensor (the other commands);
+        # stdout must not move by a byte
         monkeypatch.chdir(tmp_path)
-        for name in ("P3", "Q5"):
+        for name in ("P3", "Q5", "BlP3", "BlLineP3", "Pencil5"):
             Path(f"{name}.json").write_text(serialize_profile(get(name).profile))
         expected = GOLDEN[command]
         code, out = run(capsys, *command.split())

@@ -1,0 +1,270 @@
+"""The integer kernel against the `Fraction` loops it replaced.
+
+`ThreefoldProfile.triple_eval`, `number_eval` and the ring product under
+`expand_product` multiply integers over common denominators.  The
+reference functions below are the plain `Fraction` loops those methods
+ran before; every public result must equal theirs exactly, in value and
+in type.
+"""
+
+import contextlib
+from fractions import Fraction
+from itertools import permutations
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adjoint3 import (
+    ClassExpr,
+    DivisorExpr,
+    FlagKind,
+    NumberExpr,
+    ThreefoldProfile,
+    blow_up_curve,
+    blow_up_point,
+    bound_bs,
+    bound_fukuma_gap,
+    bound_fukuma_ka,
+    bound_nefbig,
+    chi_line_bundle,
+    expand_divisors,
+    expand_product,
+    flag,
+    miyaoka_c2_inequality,
+    parse_profile,
+    serialize_profile,
+)
+from adjoint3 import profile as profile_mod
+
+_ZERO = Fraction(0)
+BASIS = ("E", "G", "H", "F2")
+
+# -- the reference loops ------------------------------------------------------
+
+
+def reference_symmetric(p):
+    """Sorted triple -> value, the smallest stored permutation winning."""
+    sym = {}
+    for key in sorted(p.triple):
+        sym.setdefault(tuple(sorted(key)), p.triple[key])
+    return sym
+
+
+def reference_triple_eval(p, d1, d2, d3):
+    sym = reference_symmetric(p)
+    total = _ZERO
+    for s1, c1 in d1.items():
+        for s2, c2 in d2.items():
+            for s3, c3 in d3.items():
+                v = sym.get(tuple(sorted((s1, s2, s3))))
+                if v:
+                    total += c1 * c2 * c3 * v
+    return total
+
+
+def reference_number_eval(p, n):
+    sym = reference_symmetric(p)
+    total = n.constant + n.chi_o_coeff * p.chi_O
+    for key, v in n.cubic_terms.items():
+        t = sym.get(key)
+        if t:
+            total += v * t
+    for s, v in n.c2_pairings.items():
+        total += v * p.c2_vector.get(s, _ZERO)
+    return total
+
+
+def reference_mul_class(self, other):
+    if self.degree == 0:
+        return other * self.scalar_value()
+    if other.degree == 0:
+        return self * other.scalar_value()
+    total = self.degree + other.degree
+    if total > 3:
+        return NumberExpr.zero()
+    poly = {}
+    for k1, v1 in self.terms.items():
+        for k2, v2 in other.terms.items():
+            key = tuple(sorted(k1 + k2))
+            poly[key] = poly.get(key, _ZERO) + v1 * v2
+    if total <= 2:
+        return ClassExpr(total, poly)
+    pairings = {}
+    if self.c2_atom_coeff != 0:
+        for (s,), v in other.terms.items():
+            pairings[s] = pairings.get(s, _ZERO) + self.c2_atom_coeff * v
+    if other.c2_atom_coeff != 0:
+        for (s,), v in self.terms.items():
+            pairings[s] = pairings.get(s, _ZERO) + other.c2_atom_coeff * v
+    return NumberExpr(poly, pairings)
+
+
+@contextlib.contextmanager
+def reference_path():
+    """Route the library through the reference loops."""
+    with mock.patch.object(ClassExpr, "_mul_class", reference_mul_class), mock.patch.object(
+        ThreefoldProfile, "triple_eval", reference_triple_eval
+    ), mock.patch.object(ThreefoldProfile, "number_eval", reference_number_eval):
+        yield
+
+
+# -- strategies ------------------------------------------------------------------
+
+rationals = st.builds(
+    Fraction, st.integers(-30, 30), st.sampled_from([1, 1, 2, 3, 4, 6, 7, 12])
+)
+
+
+@st.composite
+def profiles(draw):
+    """Rational, negative and zero entries; missing entries; some triples
+    stored under several permutations with different values; now and then
+    an entry on a symbol outside the basis."""
+    n = draw(st.integers(1, len(BASIS)))
+    basis = BASIS[:n]
+    triple = {}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                key = (basis[i], basis[j], basis[k])
+                stored = sorted(set(permutations(key)))
+                chosen = draw(st.lists(st.sampled_from(stored), max_size=3, unique=True))
+                for perm in chosen:
+                    triple[perm] = draw(rationals)
+    if draw(st.booleans()):
+        triple[("Z", basis[0], "Z")] = draw(rationals)
+    return ThreefoldProfile(
+        basis=basis,
+        triple=triple,
+        c2_vector={s: draw(rationals) for s in basis},
+        chi_O=draw(st.integers(-3, 3)),
+        canonical=draw(divisors(basis)),
+    )
+
+
+def divisors(basis):
+    """Sparse divisors with mixed denominators, the zero divisor included."""
+    return st.dictionaries(st.sampled_from(basis), rationals, max_size=len(basis)).map(
+        DivisorExpr
+    )
+
+
+@st.composite
+def profile_and_divisors(draw):
+    p = draw(profiles())
+    return p, [draw(divisors(p.basis)) for _ in range(3)]
+
+
+# -- differential tests ----------------------------------------------------------
+
+
+def _same(actual, expected):
+    assert type(actual) is type(expected)
+    assert actual == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_and_divisors())
+def test_triple_and_number_eval_match_fraction_loops(case):
+    p, (d1, d2, d3) = case
+    with reference_path():
+        triple = p.triple_eval(d1, d2, d3)
+        number = p.number_eval(expand_divisors(d1, d2, d3))
+    _same(p.triple_eval(d1, d2, d3), triple)
+    _same(p.number_eval(expand_divisors(d1, d2, d3)), number)
+    # the symmetric form gives one value in every argument order
+    _same(p.triple_eval(d3, d1, d2), triple)
+    _same(number, triple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile_and_divisors())
+def test_bounds_chi_and_miyaoka_match_fraction_loops(case):
+    p, (A, H, D) = case
+    calls = [
+        lambda: chi_line_bundle(p, D),
+        lambda: bound_fukuma_ka(p, A),
+        lambda: bound_fukuma_gap(p, A),
+        lambda: bound_nefbig(p, A),
+        lambda: bound_bs(p, A),
+        lambda: miyaoka_c2_inequality(p, A, H),
+    ]
+    with reference_path():
+        expected = [call() for call in calls]
+    for call, value in zip(calls, expected):
+        _same(call(), value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_and_divisors(), rationals)
+def test_expand_product_matches_fraction_loops(case, c2_coeff):
+    p, (d1, d2, d3) = case
+    lift = ClassExpr.from_divisor
+    products = [
+        lambda: expand_divisors(d1, d2, d3),
+        lambda: expand_divisors(d1, d2),
+        lambda: expand_product([lift(d1), lift(d2) * lift(d3) + ClassExpr.c2_atom(c2_coeff)]),
+        lambda: expand_product([ClassExpr.scalar(c2_coeff), lift(d1), lift(d2)]),
+    ]
+    with reference_path():
+        expected = [product() for product in products]
+    for product, value in zip(products, expected):
+        _same(product(), value)
+
+
+# -- the compile-once contract ------------------------------------------------------
+
+
+def _count_compiles(monkeypatch):
+    calls = []
+    original = profile_mod._compile_tensor
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(profile_mod, "_compile_tensor", counting)
+    return calls
+
+
+def _sample_profile():
+    H, E = DivisorExpr.symbol("H"), DivisorExpr.symbol("E")
+    return ThreefoldProfile(
+        basis=("H", "E"),
+        triple={("H", "H", "H"): 1, ("E", "E", "E"): Fraction(1, 2), ("H", "H", "E"): -3},
+        c2_vector={"H": 6},
+        chi_O=1,
+        canonical=-4 * H,
+        flags=[flag(FlagKind.AMPLE, H)],
+        named_divisors={"A": H - E},
+    )
+
+
+def test_profile_and_its_copies_compile_once(monkeypatch):
+    calls = _count_compiles(monkeypatch)
+    p = _sample_profile()
+    H = DivisorExpr.symbol("H")
+    copies = [
+        p.with_flags(flag(FlagKind.NEF, H)),
+        p.with_named_divisors(B=2 * H),
+        p.with_flags(flag(FlagKind.UNIRULED), replace=True),
+    ]
+    # a copy evaluated first compiles for its parent too
+    for q in (copies[1], p, *copies):
+        q.triple_eval(H, H, p.canonical)
+        q.number_eval(expand_divisors(H, H, H))
+        bound_bs(q, H)
+    assert len(calls) == 1
+
+
+def test_parse_validate_and_blow_ups_compile_nothing(monkeypatch):
+    calls = _count_compiles(monkeypatch)
+    p = parse_profile(serialize_profile(_sample_profile()))
+    assert p.validate() == []
+    point, _ = blow_up_point(p, "X")
+    curve, _ = blow_up_curve(point, "Y", 1, {"H": 1, "E": 0, "X": 2})
+    for q in (point, curve):
+        q.validate()
+        parse_profile(serialize_profile(q))
+    assert calls == []

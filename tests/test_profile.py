@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import adjoint3
 from adjoint3 import (
     DivisorExpr,
     FlagKind,
@@ -89,6 +94,30 @@ class TestEvaluation:
     def test_triple_eval_unknown_symbol(self):
         with pytest.raises(UnknownSymbolError):
             p3_profile().triple_eval(E, H, H)
+
+    def test_unknown_symbol_named_is_the_first_in_order(self):
+        # frozenset order once picked X, Z or Y depending on PYTHONHASHSEED
+        src = str(Path(adjoint3.__file__).resolve().parents[1])
+        script = (
+            "from adjoint3 import DivisorExpr, NumberExpr, UnknownSymbolError, get\n"
+            "p = get('P3').profile\n"
+            "d = DivisorExpr({'X': 1, 'Y': 1, 'Z': 1})\n"
+            "for call in (lambda: p.number_eval(NumberExpr({('X', 'Y', 'Z'): 1})),\n"
+            "             lambda: p.triple_eval(d, d, d)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except UnknownSymbolError as exc:\n"
+            "        print(exc)\n"
+        )
+        for seed in ("1", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            assert proc.stdout.splitlines() == [
+                "unknown symbol 'X' in number_eval",
+                "unknown symbol 'X' in triple_eval argument 1",
+            ]
 
     def test_c2_pairing(self):
         p = p3_profile()

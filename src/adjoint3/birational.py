@@ -45,12 +45,6 @@ class CurveCenter:
     genus: int
     degrees: tuple[tuple[str, Fraction], ...]
 
-    def degree_of(self, symbol: str) -> Fraction:
-        for s, v in self.degrees:
-            if s == symbol:
-                return v
-        raise MissingCurveDegreeError(f"no degree recorded for symbol '{symbol}'")
-
 
 @dataclass(frozen=True)
 class BlowupMap:

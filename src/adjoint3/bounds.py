@@ -17,13 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import ClassExpr, DivisorExpr, NumberExpr, expand_product
-from .profile import (
-    FlagContradictionError,
-    FlagKind,
-    MissingFlagError,
-    PositivityFlag,
-    ThreefoldProfile,
-)
+from .profile import FlagContradictionError, FlagKind, PositivityFlag, ThreefoldProfile
 from .twist import cotangent_twisted_c2
 
 # citation constants for externally established results consumed by routes
@@ -31,8 +25,6 @@ KA00_THM31 = "KA00_THM31"  # non-vanishing when the adjoint is nef but not big
 CH02_THM42 = "CH02_THM42"  # non-vanishing on uniruled X with positive irregularity
 BASEPOINTFREE = "BASEPOINTFREE"  # semiample positivity of a nef adjoint bundle
 FANO_TRIVIAL = "FANO_TRIVIAL"  # a numerically trivial adjoint on a Fano is trivial
-
-CITATIONS = (KA00_THM31, CH02_THM42, BASEPOINTFREE, FANO_TRIVIAL)
 
 
 class Conclusion(str, Enum):
@@ -110,8 +102,7 @@ def generic_nef_pairing_test(
     nonnegative value is necessary evidence only.
     """
     for h in (H1, H2):
-        if p.find_flag(FlagKind.AMPLE, h) is None:
-            raise MissingFlagError(FlagKind.AMPLE, h)
+        p.require_flag(FlagKind.AMPLE, h)
     value = p.triple_eval(L, H1, H2)
     return PairingTest(value, value >= 0)
 
@@ -176,7 +167,7 @@ def miyaoka_c2_inequality(
     correction = miyaoka_correction(lift(p.canonical), lift(A))
     rhs = -p.number_eval(expand_product([lift(H), correction]))
     met = (
-        (p.has_flag(FlagKind.NOT_UNIRULED) or p.satisfies(FlagKind.PSEUDO_EFFECTIVE, p.canonical))
+        _not_uniruled_witness(p) is not None
         and p.satisfies(FlagKind.NEF, A)
         and p.satisfies(FlagKind.NEF, p.canonical + A)
     )
@@ -221,18 +212,18 @@ BOUND_RULES = {
 }
 
 
-def _require_ample(p: ThreefoldProfile, A: DivisorExpr) -> PositivityFlag:
-    ample = p.find_flag(FlagKind.AMPLE, A)
-    if ample is None:
-        raise MissingFlagError(FlagKind.AMPLE, A)
-    return ample
-
-
-def _canonical_side_flag(p: ThreefoldProfile) -> PositivityFlag | None:
+def _not_uniruled_witness(p: ThreefoldProfile) -> PositivityFlag | None:
     # not uniruled, declared directly or through pseudo-effectivity of K
     return p.find_flag(FlagKind.NOT_UNIRULED) or p.find_flag(
         FlagKind.PSEUDO_EFFECTIVE, p.canonical
     )
+
+
+def _require_chi_O_positive(p: ThreefoldProfile, route: str) -> None:
+    if p.chi_O < 1:
+        raise FlagContradictionError(
+            f"route {route} needs chi_O >= 1, profile has {p.chi_O}"
+        )
 
 
 def certify_h0_adjoint(p: ThreefoldProfile, A: DivisorExpr) -> Certificate:
@@ -245,10 +236,10 @@ def certify_h0_adjoint(p: ThreefoldProfile, A: DivisorExpr) -> Certificate:
     with hard errors when chi_O < 1 or -K.(K+A)^2 < 0 contradict the
     declarations; otherwise inconclusive.
     """
-    ample = _require_ample(p, A)
+    ample = p.require_flag(FlagKind.AMPLE, A)
     K = p.canonical
 
-    witness = _canonical_side_flag(p)
+    witness = _not_uniruled_witness(p)
     if witness is not None:
         bound = bound_fukuma_ka(p, A)
         conclusion = Conclusion.NON_VANISHING if bound > 0 else Conclusion.INCONCLUSIVE
@@ -279,10 +270,7 @@ def certify_h0_adjoint(p: ThreefoldProfile, A: DivisorExpr) -> Certificate:
     )
     nef_big = p.find_flag(FlagKind.NEF_AND_BIG, ka)
     if anti is not None and nef_big is not None and irregularity_zero is not None:
-        if p.chi_O < 1:
-            raise FlagContradictionError(
-                f"route {ROUTE_ANTICANONICAL} needs chi_O >= 1, profile has {p.chi_O}"
-            )
+        _require_chi_O_positive(p, ROUTE_ANTICANONICAL)
         limit = p.triple_eval(-K, ka, ka)
         if limit < 0:
             raise FlagContradictionError(
@@ -310,13 +298,9 @@ def certify_h0_bs(p: ThreefoldProfile, A: DivisorExpr) -> Certificate:
     hard errors when (K+2A).A^2 <= 0 or chi_O < 1 contradict the
     declarations; otherwise inconclusive.
     """
-    ample = _require_ample(p, A)
-    K = p.canonical
-    k2a = K + 2 * A
-
-    nef = p.find_flag(FlagKind.NEF, k2a)
-    if nef is None:
-        raise MissingFlagError(FlagKind.NEF, k2a)
+    ample = p.require_flag(FlagKind.AMPLE, A)
+    k2a = p.canonical + 2 * A
+    nef = p.require_flag(FlagKind.NEF, k2a)
 
     trivial = p.find_flag(FlagKind.NUMERICALLY_TRIVIAL, k2a)
     if trivial is not None:
@@ -327,7 +311,7 @@ def certify_h0_bs(p: ThreefoldProfile, A: DivisorExpr) -> Certificate:
             citations=(FANO_TRIVIAL,),
         )
 
-    witness = _canonical_side_flag(p)
+    witness = _not_uniruled_witness(p)
     if witness is not None:
         bound = bound_fukuma_ka(p, A) + bound_fukuma_gap(p, A)
         conclusion = Conclusion.NON_VANISHING if bound > 0 else Conclusion.INCONCLUSIVE
@@ -352,10 +336,7 @@ def certify_h0_bs(p: ThreefoldProfile, A: DivisorExpr) -> Certificate:
                 f"(K+2A).A^2 = {positivity} <= 0 contradicts semiample "
                 "positivity of a nef, numerically nontrivial adjoint class"
             )
-        if p.chi_O < 1:
-            raise FlagContradictionError(
-                f"route {ROUTE_BS_CHI} needs chi_O >= 1, profile has {p.chi_O}"
-            )
+        _require_chi_O_positive(p, ROUTE_BS_CHI)
         bound = bound_bs(p, A)
         return _certificate(
             Conclusion.NON_VANISHING,

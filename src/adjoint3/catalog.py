@@ -25,6 +25,7 @@ from .birational import blow_up_curve, blow_up_point
 from .bounds import BOUND_RULES
 from .core import CalcError, DivisorExpr, format_rational, rat
 from .profile import FlagKind, ThreefoldProfile, flag
+from .profile_io import resolve_divisor
 from .riemann_roch import chi_line_bundle
 
 
@@ -49,24 +50,13 @@ _E = DivisorExpr.symbol("E")
 
 
 def projective_space() -> CatalogEntry:
-    """Projective three-space polarised by the hyperplane class."""
-    profile = ThreefoldProfile(
-        basis=("H",),
-        triple={("H", "H", "H"): 1},
-        c2_vector={"H": 6},
-        chi_O=1,
-        canonical=-4 * _H,
-        flags=(
-            flag(FlagKind.AMPLE, _H),
-            flag(FlagKind.UNIRULED),
-            flag(FlagKind.IRREGULARITY_ZERO),
-            flag(FlagKind.PSEUDO_EFFECTIVE, 4 * _H),
-        ),
-        named_divisors={"H": _H},
-    )
+    """Projective three-space polarised by the hyperplane class.
+
+    Its profile is the degree-1 hypersurface's.
+    """
     return CatalogEntry(
         name="P3",
-        profile=profile,
+        profile=hypersurface(1).profile,
         provenance=(
             "Projective 3-space: H^3 = 1, K = -4H, c2(T).H = 6, chi_O = 1. "
             "The anticanonical class 4H is ample, hence pseudo-effective."
@@ -251,8 +241,10 @@ def quintic_pencil() -> CatalogEntry:
 
 _HYPERSURFACE_RE = re.compile(r"hypersurface\((\d+)\)\Z")
 
-_FIXED_ENTRIES = {
+# the concrete entries in listing order; Q5 is the alias of hypersurface(5)
+_ENTRIES = {
     "P3": projective_space,
+    "Q5": lambda: hypersurface(5),
     "BlP3": blown_up_point_p3,
     "BlLineP3": blown_up_line_p3,
     "Pencil5": quintic_pencil,
@@ -261,20 +253,17 @@ _FIXED_ENTRIES = {
 
 def names() -> tuple[str, ...]:
     """Concrete entry names; hypersurface(d) is available for any d >= 1."""
-    return ("P3", "Q5", "BlP3", "BlLineP3", "Pencil5")
+    return tuple(_ENTRIES)
 
 
 def get(name: str) -> CatalogEntry:
     """Fetch a catalog entry by name.
 
-    Accepts the fixed names, ``hypersurface(d)``, and the alias ``Q5`` for
-    the quintic hypersurface.
+    Accepts the names of `names` and ``hypersurface(d)``.
     """
-    builder = _FIXED_ENTRIES.get(name)
+    builder = _ENTRIES.get(name)
     if builder is not None:
         return builder()
-    if name == "Q5":
-        return hypersurface(5)
     m = _HYPERSURFACE_RE.match(name)
     if m:
         return hypersurface(int(m.group(1)))
@@ -287,11 +276,21 @@ def get(name: str) -> CatalogEntry:
 DEFAULT_EPS_SCAN = tuple(Fraction(1, 2**k) for k in range(1, 21))
 
 
+def _witness_classes(p: ThreefoldProfile) -> tuple[DivisorExpr, DivisorExpr]:
+    """The fiber F and the polarization H of `bad_anticanonical_witness`.
+
+    F is the named divisor ``F``; H is the named divisor ``H`` if there is
+    one, else the symbol ``H``.
+    """
+    f = p.named_divisors.get("F")
+    if f is None:
+        raise UnknownEntryError("profile has no named divisor 'F'")
+    return f, p.named_divisors.get("H", _H)
+
+
 def bad_anticanonical_witness(
     entry: CatalogEntry | ThreefoldProfile,
     eps_list: tuple[Fraction, ...] | list[Fraction] | None = None,
-    fiber: str = "F",
-    polarization: str = "H",
 ) -> tuple[Fraction, Fraction]:
     """Scan for eps with K.(F + eps*H)^2 > 0, witnessing a bad anticanonical.
 
@@ -301,10 +300,7 @@ def bad_anticanonical_witness(
     generically nef.
     """
     p = entry.profile if isinstance(entry, CatalogEntry) else entry
-    f = p.named_divisors.get(fiber)
-    if f is None:
-        raise UnknownEntryError(f"profile has no named divisor '{fiber}'")
-    h = p.named_divisors.get(polarization, DivisorExpr.symbol(polarization))
+    f, h = _witness_classes(p)
     scan = DEFAULT_EPS_SCAN if eps_list is None else tuple(rat(e) for e in eps_list)
     for eps in scan:
         candidate = f + eps * h
@@ -319,8 +315,6 @@ def bad_anticanonical_witness(
 
 def check_expected(entry: CatalogEntry) -> list[str]:
     """Evaluate every pinned expected value; returns mismatch records."""
-    from .profile_io import resolve_divisor
-
     p = entry.profile
     ops = {
         "chi": chi_line_bundle,

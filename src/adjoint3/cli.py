@@ -91,11 +91,6 @@ def _certificate_record(cert: Certificate, basis) -> dict:
     }
 
 
-def _load_valid_profile(path: str) -> tuple[ThreefoldProfile, list[str]]:
-    profile = load_profile(path)
-    return profile, profile.validate()
-
-
 def _run_per_file(args, evaluate, **options) -> int:
     """Print one report per input file, in input order; return the worst exit code.
 
@@ -108,7 +103,8 @@ def _run_per_file(args, evaluate, **options) -> int:
     for path in args.files:
         inputs = {"file": path, **options}
         try:
-            profile, violations = _load_valid_profile(path)
+            profile = load_profile(path)
+            violations = profile.validate()
             report = {"command": args.command, "inputs": inputs}
             if evaluate is None:
                 report.update(result={"valid": not violations}, violations=violations)
@@ -210,11 +206,38 @@ def _parse_curve_spec(text: str) -> tuple[int, dict[str, Fraction]]:
     return genus, degrees
 
 
-def _cmd_blowup(args) -> int:
-    profile, violations = _load_valid_profile(args.file)
-    inputs = {"file": args.file, "symbol": args.symbol}
+def _load_single_profile(args, inputs: dict) -> ThreefoldProfile | None:
+    """The profile in ``args.file``, or None once its violations are reported."""
+    profile = load_profile(args.file)
+    violations = profile.validate()
     if violations:
-        print(json.dumps({"command": "blowup", "inputs": inputs, "violations": violations}, indent=2))
+        report = {"command": args.command, "inputs": inputs, "violations": violations}
+        print(json.dumps(report, indent=2))
+        return None
+    return profile
+
+
+def _write_profile(args, inputs: dict, profile: ThreefoldProfile, result: dict) -> int:
+    """Write the profile to ``--output`` and report it, or to standard output."""
+    text = serialize_profile(profile)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        report = {
+            "command": args.command,
+            "inputs": inputs,
+            "result": {"output": args.output, **result},
+        }
+        print(json.dumps(report, indent=2))
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
+def _cmd_blowup(args) -> int:
+    inputs = {"file": args.file, "symbol": args.symbol}
+    profile = _load_single_profile(args, inputs)
+    if profile is None:
         return EXIT_OPERATION
     if args.curve is not None:
         genus, degrees = _parse_curve_spec(args.curve)
@@ -223,19 +246,7 @@ def _cmd_blowup(args) -> int:
     else:
         inputs["point"] = True
         transformed, _ = blow_up_point(profile, args.symbol)
-    text = serialize_profile(transformed)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        report = {
-            "command": "blowup",
-            "inputs": inputs,
-            "result": {"output": args.output, "basis": list(transformed.basis)},
-        }
-        print(json.dumps(report, indent=2))
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_profile(args, inputs, transformed, {"basis": list(transformed.basis)})
 
 
 def _cmd_identities(args) -> int:
@@ -254,38 +265,18 @@ def _cmd_identities(args) -> int:
 
 def _cmd_catalog(args) -> int:
     entry = catalog_mod.get(args.name)
-    text = serialize_profile(entry.profile)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        report = {
-            "command": "catalog",
-            "inputs": {"name": args.name},
-            "result": {"output": args.output, "entry": entry.name},
-        }
-        print(json.dumps(report, indent=2))
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_profile(args, {"name": args.name}, entry.profile, {"entry": entry.name})
 
 
 def _cmd_witness(args) -> int:
-    profile, violations = _load_valid_profile(args.file)
     inputs = {"file": args.file}
-    if violations:
-        print(
-            json.dumps(
-                {"command": "witness-bad-anticanonical", "inputs": inputs, "violations": violations},
-                indent=2,
-            )
-        )
+    profile = _load_single_profile(args, inputs)
+    if profile is None:
         return EXIT_OPERATION
     eps_list = [_parse_rational(e, "eps") for e in args.eps] if args.eps else None
     eps, value = catalog_mod.bad_anticanonical_witness(profile, eps_list)
-    polarization = profile.named_divisors.get("H")
-    if polarization is None:
-        polarization = resolve_divisor(profile, "H")
-    candidate = profile.named_divisors["F"] + eps * polarization
+    fiber, polarization = catalog_mod._witness_classes(profile)
+    candidate = fiber + eps * polarization
     report = {
         "command": "witness-bad-anticanonical",
         "inputs": inputs,
@@ -309,17 +300,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
     def add_files(p):
         p.add_argument("files", nargs="+", help="profile JSON file(s)")
 
-    p = sub.add_parser("validate", help="check profile invariants")
-    add_files(p)
+    add_files(command("validate", _cmd_validate, "check profile invariants"))
 
-    p = sub.add_parser("chi", help="Euler characteristic of a line bundle")
+    p = command("chi", _cmd_chi, "Euler characteristic of a line bundle")
     add_files(p)
     p.add_argument("--divisor", required=True, help="divisor name or expression")
 
-    p = sub.add_parser("bound", help="evaluate a section lower bound")
+    p = command("bound", _cmd_bound, "evaluate a section lower bound")
     add_files(p)
     p.add_argument("--divisor", required=True, help="the ample divisor A")
     p.add_argument("--rule", required=True, choices=[*BOUND_RULES, "miyaoka"])
@@ -328,12 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="second divisor for the miyaoka rule (defaults to --divisor)",
     )
 
-    p = sub.add_parser("certify", help="run a non-vanishing certification")
+    p = command("certify", _cmd_certify, "run a non-vanishing certification")
     add_files(p)
     p.add_argument("--divisor", required=True, help="the ample divisor A")
     p.add_argument("--target", required=True, choices=["adjoint", "bs"])
 
-    p = sub.add_parser("blowup", help="transform a profile under a blow-up")
+    p = command("blowup", _cmd_blowup, "transform a profile under a blow-up")
     p.add_argument("file", help="profile JSON file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--point", action="store_true", help="blow up a point")
@@ -344,15 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbol", required=True, help="name of the exceptional symbol")
     p.add_argument("-o", "--output", help="write the profile here instead of stdout")
 
-    p = sub.add_parser("identities", help="verify the symbolic identity suite")
+    command("identities", _cmd_identities, "verify the symbolic identity suite")
 
-    p = sub.add_parser("catalog", help="write a built-in profile")
+    p = command("catalog", _cmd_catalog, "write a built-in profile")
     p.add_argument("name", help=f"one of {', '.join(catalog_mod.names())} or hypersurface(d)")
     p.add_argument("-o", "--output", help="write the profile here instead of stdout")
 
-    p = sub.add_parser(
-        "witness-bad-anticanonical",
-        help="scan for eps with K.(F + eps*H)^2 > 0",
+    p = command(
+        "witness-bad-anticanonical", _cmd_witness, "scan for eps with K.(F + eps*H)^2 > 0"
     )
     p.add_argument("file", help="profile JSON file with a named divisor F")
     p.add_argument("--eps", nargs="*", help="explicit rationals to scan")
@@ -360,23 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "chi": _cmd_chi,
-    "bound": _cmd_bound,
-    "certify": _cmd_certify,
-    "blowup": _cmd_blowup,
-    "identities": _cmd_identities,
-    "catalog": _cmd_catalog,
-    "witness-bad-anticanonical": _cmd_witness,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except tuple(_COMMAND_ERRORS) as exc:
         report, code = _error_report(args.command, exc, _COMMAND_ERRORS)
         print(json.dumps(report, indent=2))

@@ -29,7 +29,6 @@ RationalInput = Union[Fraction, int, str]
 _K = TypeVar("_K")
 
 _ZERO = Fraction(0)
-_CHI_PER_CANONICAL_C2 = Fraction(-1, 24)
 
 
 class CalcError(Exception):
@@ -512,17 +511,17 @@ class NumberExpr:
 
     __rmul__ = __mul__
 
-    def fold_canonical_c2(self, canonical_symbol: str = "K") -> "NumberExpr":
+    def fold_canonical_c2(self) -> "NumberExpr":
         """Rewrite the pairing ``c2 . K`` as ``-24 * chi_O``.
 
         This is the canonical form used by `identity_check`: on any
         threefold the canonical class pairs with c2 to -24 times the Euler
         characteristic of the structure sheaf.
         """
-        t = self._pairings.get(canonical_symbol)
+        t = self._pairings.get("K")
         if t is None:
             return self
-        pairings = {s: v for s, v in self._pairings.items() if s != canonical_symbol}
+        pairings = {s: v for s, v in self._pairings.items() if s != "K"}
         return NumberExpr(self._cubic, pairings, self._chi_o - 24 * t, self._const)
 
     def substitute(self, mapping: Mapping[str, DivisorExpr]) -> "NumberExpr":
@@ -615,15 +614,11 @@ def expand_divisors(*divisors: DivisorExpr) -> ClassExpr | NumberExpr:
     return expand_product([ClassExpr.from_divisor(d) for d in divisors])
 
 
-def identity_check(
-    lhs: NumberExpr, rhs: NumberExpr, canonical_symbol: str = "K"
-) -> bool:
+def identity_check(lhs: NumberExpr, rhs: NumberExpr) -> bool:
     """Decide a symbolic identity by canonical-form comparison.
 
     Both sides are first rewritten with ``c2 . K`` folded into the chi_O
     atom; agreement of the resulting canonical forms proves the identity
     on every threefold profile.
     """
-    return lhs.fold_canonical_c2(canonical_symbol) == rhs.fold_canonical_c2(
-        canonical_symbol
-    )
+    return lhs.fold_canonical_c2() == rhs.fold_canonical_c2()

@@ -10,10 +10,12 @@ Positivity is not decidable from this data, so flags are declarations
 supplied with the profile.  Operations may check numeric consequences of a
 flag (and fail hard on contradictions) but never infer one.  A declared
 flag also certifies the weaker properties of the same divisor: ample
-implies nef-and-big, nef or big imply pseudo-effective, pseudo-effective
-implies generically nef, and a numerically trivial class is nef.  Subjects
-are matched exactly as canonical divisor expressions; no rescaling is
-applied.
+implies nef-and-big, nef-and-big implies nef and big, nef or big imply
+pseudo-effective, pseudo-effective implies generically nef, and a
+numerically trivial class is nef.  Subjects are matched exactly as
+canonical divisor expressions; no rescaling is applied.  When several
+declared flags certify the same property, `ThreefoldProfile.find_flag`
+picks one by a fixed rule, so certificates do not depend on set order.
 
 The triple tensor is stored exactly as supplied so that symmetry damage is
 observable by `ThreefoldProfile.validate`.  Evaluation reads a symmetrised
@@ -73,33 +75,25 @@ VARIETY_LEVEL_KINDS = frozenset(
     }
 )
 
-# a declared flag of the key kind also certifies the value kinds, for the
-# same subject divisor
-_KIND_IMPLIES: dict[FlagKind, frozenset[FlagKind]] = {
-    FlagKind.AMPLE: frozenset(
-        {
-            FlagKind.NEF_AND_BIG,
-            FlagKind.NEF,
-            FlagKind.BIG,
-            FlagKind.PSEUDO_EFFECTIVE,
-            FlagKind.GENERICALLY_NEF,
-        }
-    ),
-    FlagKind.NEF_AND_BIG: frozenset(
-        {
-            FlagKind.NEF,
-            FlagKind.BIG,
-            FlagKind.PSEUDO_EFFECTIVE,
-            FlagKind.GENERICALLY_NEF,
-        }
-    ),
-    FlagKind.NEF: frozenset({FlagKind.PSEUDO_EFFECTIVE, FlagKind.GENERICALLY_NEF}),
-    FlagKind.BIG: frozenset({FlagKind.PSEUDO_EFFECTIVE, FlagKind.GENERICALLY_NEF}),
-    FlagKind.PSEUDO_EFFECTIVE: frozenset({FlagKind.GENERICALLY_NEF}),
-    FlagKind.NUMERICALLY_TRIVIAL: frozenset(
-        {FlagKind.NEF, FlagKind.PSEUDO_EFFECTIVE, FlagKind.GENERICALLY_NEF}
-    ),
+# a declared flag of the key kind also certifies the value kinds directly,
+# for the same subject divisor
+_DIRECT_IMPLIES: dict[FlagKind, tuple[FlagKind, ...]] = {
+    FlagKind.AMPLE: (FlagKind.NEF_AND_BIG,),
+    FlagKind.NEF_AND_BIG: (FlagKind.NEF, FlagKind.BIG),
+    FlagKind.NEF: (FlagKind.PSEUDO_EFFECTIVE,),
+    FlagKind.BIG: (FlagKind.PSEUDO_EFFECTIVE,),
+    FlagKind.PSEUDO_EFFECTIVE: (FlagKind.GENERICALLY_NEF,),
+    FlagKind.NUMERICALLY_TRIVIAL: (FlagKind.NEF,),
 }
+
+
+def _implied(kind: FlagKind) -> frozenset[FlagKind]:
+    direct = _DIRECT_IMPLIES.get(kind, ())
+    return frozenset(direct).union(*map(_implied, direct))
+
+
+# the transitive closure: every kind a declared flag of the key kind certifies
+_KIND_IMPLIES = {kind: _implied(kind) for kind in _DIRECT_IMPLIES}
 
 
 @dataclass(frozen=True)
@@ -335,19 +329,29 @@ class ThreefoldProfile:
     ) -> PositivityFlag | None:
         """A declared flag certifying ``kind`` for ``subject``, if any.
 
-        Exact declarations win; otherwise any declared flag on the same
-        subject whose kind implies the requested one.
+        An exact declaration wins; otherwise, of the declared flags on the
+        same subject whose kind implies the requested one, the one whose
+        ``str`` sorts first.
         """
         kind = FlagKind(kind)
-        fallback = None
+        implying = []
         for f in self.flags:
-            if f.subject != subject:
-                continue
-            if f.kind == kind:
-                return f
-            if fallback is None and f.implies(kind):
-                fallback = f
-        return fallback
+            if f.subject == subject and f.implies(kind):
+                if f.kind == kind:
+                    return f
+                implying.append(f)
+        if len(implying) > 1:  # rare; spares the str of a lone candidate
+            implying.sort(key=str)
+        return implying[0] if implying else None
+
+    def require_flag(
+        self, kind: FlagKind | str, subject: DivisorExpr | None = None
+    ) -> PositivityFlag:
+        """The flag `find_flag` returns; `MissingFlagError` when there is none."""
+        found = self.find_flag(kind, subject)
+        if found is None:
+            raise MissingFlagError(kind, subject)
+        return found
 
     def satisfies(self, kind: FlagKind | str, subject: DivisorExpr | None = None) -> bool:
         return self.find_flag(kind, subject) is not None

@@ -31,7 +31,7 @@ from .core import (
     expand_product,
     identity_check,
 )
-from .profile import FlagKind, MissingFlagError, ThreefoldProfile
+from .profile import FlagKind, ThreefoldProfile
 
 _TWELFTH = Fraction(1, 12)
 
@@ -81,9 +81,7 @@ def h0_lower_bound_from_chi(p: ThreefoldProfile, D: DivisorExpr) -> int:
     syntactically against D - K.  Under such a flag the higher cohomology
     vanishes and chi equals h^0.
     """
-    body = D - p.canonical
-    if not p.satisfies(FlagKind.NEF_AND_BIG, body):
-        raise MissingFlagError(FlagKind.NEF_AND_BIG, body)
+    p.require_flag(FlagKind.NEF_AND_BIG, D - p.canonical)
     chi = chi_line_bundle(p, D)
     if chi.denominator != 1:
         raise NonIntegerChiError(

@@ -275,27 +275,53 @@ class TestDeterminismAndBatch:
         assert [r["inputs"]["file"] for r in reports] == files
         assert [r["result"]["chi"] for r in reports] == ["10/1", "15/1", "10/1"]
 
-    def test_validate_bytes_do_not_depend_on_hash_seed(self, tmp_path):
-        # unknown symbols were once listed in frozenset order, which moves
-        # with PYTHONHASHSEED (X, Z, Y under seed 1; Y, X, Z under seed 3)
+    @pytest.mark.parametrize(
+        "case, seeds",
+        [
+            # unknown symbols were once listed in frozenset order, which moves
+            # with PYTHONHASHSEED (X, Z, Y under seed 1; Y, X, Z under seed 3)
+            pytest.param("validate", ("1", "3"), id="validate"),
+            # Nef(2H) was once certified by whichever implying flag came first
+            # in frozenset order: Ample(2H) under seed 1, NefAndBig(2H) under 2
+            pytest.param("certify", ("1", "2"), id="certify"),
+        ],
+    )
+    def test_validate_bytes_do_not_depend_on_hash_seed(self, tmp_path, case, seeds):
         obj = json.loads(serialize_profile(get("P3").profile))
-        obj["canonical"] = "-4*H + X + Y + Z"
-        path = tmp_path / "unknown.json"
+        if case == "validate":
+            obj["canonical"] = "-4*H + X + Y + Z"
+            argv = ["validate"]
+        else:
+            obj["flags"] = [
+                {"kind": "Ample", "subject": "3*H"},
+                {"kind": "Ample", "subject": "2*H"},
+                {"kind": "NefAndBig", "subject": "2*H"},
+                {"kind": "Uniruled", "subject": None},
+                {"kind": "IrregularityZero", "subject": None},
+            ]
+            argv = ["certify", "--divisor", "3H", "--target", "bs"]
+        path = tmp_path / "profile.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         src = str(Path(adjoint3.__file__).resolve().parents[1])
         outputs = []
-        for seed in ("1", "3"):
+        for seed in seeds:
             env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
             proc = subprocess.run(
-                [sys.executable, "-m", "adjoint3.cli", "validate", str(path)],
+                [sys.executable, "-m", "adjoint3.cli", *argv, str(path)],
                 env=env, capture_output=True, check=False,
             )
-            assert proc.returncode == 1
+            assert proc.returncode == (1 if case == "validate" else 0)
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
-        assert [v for v in json.loads(outputs[0])["violations"] if "canonical" in v] == [
-            f"unknown symbol '{s}' in canonical class" for s in "XYZ"
-        ]
+        report = json.loads(outputs[0])
+        if case == "validate":
+            assert [v for v in report["violations"] if "canonical" in v] == [
+                f"unknown symbol '{s}' in canonical class" for s in "XYZ"
+            ]
+        else:
+            assert [h["kind"] for h in report["certificate"]["hypotheses_used"]] == [
+                "Ample", "Ample", "Uniruled", "IrregularityZero"
+            ]
 
     def test_batch_exit_code_is_worst_case(self, capsys, p3_file, corrupt_file):
         code, out = run(capsys, "validate", p3_file, corrupt_file)

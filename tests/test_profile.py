@@ -10,9 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import adjoint3
+from adjoint3 import profile as profile_module
 from adjoint3 import (
     DivisorExpr,
     FlagKind,
+    MissingFlagError,
     NumberExpr,
     ThreefoldProfile,
     UnknownSymbolError,
@@ -198,6 +200,62 @@ class TestFlags:
         declared_nef = flag(FlagKind.NEF, H)
         p = p3_profile(flags=(flag(FlagKind.AMPLE, H), declared_nef))
         assert p.find_flag(FlagKind.NEF, H) == declared_nef
+
+    def test_find_flag_picks_the_implying_flag_that_sorts_first(self):
+        # once the first implying flag met in frozenset order, which moves
+        # with PYTHONHASHSEED; several subjects make a lucky pass unlikely
+        implying = (
+            FlagKind.NUMERICALLY_TRIVIAL,
+            FlagKind.NEF,
+            FlagKind.BIG,
+            FlagKind.NEF_AND_BIG,
+            FlagKind.AMPLE,
+        )
+        subjects = [k * H for k in range(1, 5)]
+        p = p3_profile(flags=[flag(kind, s) for s in subjects for kind in implying])
+        for s in subjects:
+            assert p.find_flag(FlagKind.PSEUDO_EFFECTIVE, s) == flag(FlagKind.AMPLE, s)
+            assert p.find_flag(FlagKind.NEF, s) == flag(FlagKind.NEF, s)
+            assert p.find_flag(FlagKind.BIG, s) == flag(FlagKind.BIG, s)
+        assert p.find_flag(FlagKind.PSEUDO_EFFECTIVE, 5 * H) is None
+
+    def test_derived_implications_equal_the_written_table(self):
+        # the hand-written table the derived closure replaced
+        reference = {
+            FlagKind.AMPLE: {
+                FlagKind.NEF_AND_BIG,
+                FlagKind.NEF,
+                FlagKind.BIG,
+                FlagKind.PSEUDO_EFFECTIVE,
+                FlagKind.GENERICALLY_NEF,
+            },
+            FlagKind.NEF_AND_BIG: {
+                FlagKind.NEF,
+                FlagKind.BIG,
+                FlagKind.PSEUDO_EFFECTIVE,
+                FlagKind.GENERICALLY_NEF,
+            },
+            FlagKind.NEF: {FlagKind.PSEUDO_EFFECTIVE, FlagKind.GENERICALLY_NEF},
+            FlagKind.BIG: {FlagKind.PSEUDO_EFFECTIVE, FlagKind.GENERICALLY_NEF},
+            FlagKind.PSEUDO_EFFECTIVE: {FlagKind.GENERICALLY_NEF},
+            FlagKind.NUMERICALLY_TRIVIAL: {
+                FlagKind.NEF,
+                FlagKind.PSEUDO_EFFECTIVE,
+                FlagKind.GENERICALLY_NEF,
+            },
+        }
+        assert profile_module._KIND_IMPLIES == {k: frozenset(v) for k, v in reference.items()}
+
+    def test_require_flag(self):
+        ample = flag(FlagKind.AMPLE, H)
+        p = p3_profile(flags=(ample,))
+        assert p.require_flag(FlagKind.NEF, H) == ample
+        with pytest.raises(MissingFlagError) as info:
+            p.require_flag(FlagKind.NEF, 2 * H)
+        assert (info.value.kind, info.value.subject) == (FlagKind.NEF, 2 * H)
+        with pytest.raises(MissingFlagError) as info:
+            p.require_flag("NotUniruled")
+        assert (info.value.kind, info.value.subject) == (FlagKind.NOT_UNIRULED, None)
 
     def test_with_flags_copies(self):
         p = p3_profile()

@@ -26,9 +26,6 @@ from .bounds import fukuma_gap_cubic, fukuma_ka_class
 from .core import CalcError, ClassExpr, DivisorExpr, RationalInput, UnknownSymbolError, rat
 from .profile import VARIETY_LEVEL_KINDS, ThreefoldProfile
 
-POINT = "point"
-CURVE = "curve"
-
 
 class SymbolCollisionError(CalcError):
     """The requested exceptional symbol already belongs to the basis."""
@@ -48,19 +45,13 @@ class CurveCenter:
 
 @dataclass(frozen=True)
 class BlowupMap:
-    """A blow-up between two profiles; source is the blown-up threefold."""
+    """A blow-up between two profiles: ``source`` is the blown-up threefold,
+    ``center`` the blown-up curve, or None for a point."""
 
     source: ThreefoldProfile
     target: ThreefoldProfile
     exceptional: str
-    center_kind: str
     center: CurveCenter | None = None
-
-    def __post_init__(self):
-        if self.center_kind not in (POINT, CURVE):
-            raise ValueError(f"center_kind must be '{POINT}' or '{CURVE}'")
-        if (self.center_kind == CURVE) != (self.center is not None):
-            raise ValueError("curve blow-ups carry center data, point blow-ups none")
 
 
 def _transported_flags(p: ThreefoldProfile):
@@ -99,7 +90,7 @@ def blow_up_point(
         flags=_transported_flags(p),
         named_divisors=p.named_divisors,
     )
-    return source, BlowupMap(source=source, target=p, exceptional=e, center_kind=POINT)
+    return source, BlowupMap(source=source, target=p, exceptional=e)
 
 
 def blow_up_curve(
@@ -158,9 +149,7 @@ def blow_up_curve(
         named_divisors=p.named_divisors,
     )
     center = CurveCenter(genus=genus, degrees=tuple(sorted(deg.items())))
-    return source, BlowupMap(
-        source=source, target=p, exceptional=e, center_kind=CURVE, center=center
-    )
+    return source, BlowupMap(source=source, target=p, exceptional=e, center=center)
 
 
 def pull_back(m: BlowupMap, D: DivisorExpr) -> DivisorExpr:
@@ -185,7 +174,7 @@ def blowdown_invariance_check(
     identically because K+2A is a pull-back and pull-backs annihilate E.
     Returns the two comparisons (contract: both True).
     """
-    if m.center_kind != POINT:
+    if m.center is not None:
         raise ValueError("the invariance check is defined for point blow-ups")
     a_source = pull_back(m, A_target) - DivisorExpr.symbol(m.exceptional)
 

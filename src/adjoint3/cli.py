@@ -274,6 +274,10 @@ def _cmd_witness(args) -> int:
     if profile is None:
         return EXIT_OPERATION
     eps_list = [_parse_rational(e, "eps") for e in args.eps] if args.eps else None
+    # the scan rejects eps <= 0 with a ValueError, which is no command error
+    for eps in eps_list or ():
+        if eps <= 0:
+            raise DivisorParseError(f"eps {format_rational(eps)} is not positive")
     eps, value = catalog_mod.bad_anticanonical_witness(profile, eps_list)
     fiber, polarization = catalog_mod._witness_classes(profile)
     candidate = fiber + eps * polarization

@@ -11,6 +11,17 @@ by two formal atoms:
 * a degree-zero scalar ``chi_O`` -- the Euler characteristic of the
   structure sheaf.
 
+`ClassExpr` holds the homogeneous classes of degree 0, 1 and 2; every
+product of top degree three is a `NumberExpr`.
+
+Every expression is kept in one canonical form: its terms are a dict from
+keys (a symbol name, or a sorted tuple of names for a monomial) to nonzero
+`Fraction` coefficients, sorted by key.  One function, `_canonical`,
+establishes it for every constructor -- `DivisorExpr`, the monomials of
+`ClassExpr`, and the cubic part and the c2 pairings of `NumberExpr` -- and
+the arithmetic only hands it raw (key, value) pairs.  Equal expressions
+therefore have equal terms, and equality decides identities.
+
 Symbol names are free.  By convention the name ``K`` denotes the canonical
 class in profile-independent identities; `identity_check` folds the pairing
 ``c2 . K`` into ``-24 * chi_O`` on both sides before comparing, which is
@@ -27,6 +38,7 @@ from typing import Iterable, Mapping, Sequence, TypeVar, Union
 Rational = Fraction
 RationalInput = Union[Fraction, int, str]
 _K = TypeVar("_K")
+_Terms = Union[Mapping[_K, RationalInput], Iterable[tuple[_K, RationalInput]]]
 
 _ZERO = Fraction(0)
 
@@ -107,6 +119,30 @@ def _pretty_terms(parts: list[tuple[Fraction, str]]) -> str:
     return " ".join(chunks)
 
 
+def _canonical(
+    terms: _Terms[_K], degree: int | None = None, pairing: bool = False
+) -> dict[_K, Fraction]:
+    """The canonical form of a sum of (key, value) terms.
+
+    Values are summed with `rat`, zero sums are dropped and keys sorted.
+    Each key is checked as it comes: with an integer ``degree`` it is a
+    monomial, stored as the sorted tuple of its ``degree`` symbol names;
+    otherwise it is a symbol name, a non-empty string (any string when
+    it names the divisor of a c2 ``pairing``).
+    """
+    acc: dict = {}
+    for key, value in terms.items() if isinstance(terms, Mapping) else terms:
+        if degree is not None:
+            mono = tuple(sorted(key))
+            if len(mono) != degree or not all(isinstance(s, str) for s in mono):
+                raise ValueError(f"monomial {key!r} does not have degree {degree}")
+            key = mono
+        elif not isinstance(key, str) or not (key or pairing):
+            raise TypeError("symbol names must be non-empty strings")
+        acc[key] = acc.get(key, _ZERO) + rat(value)
+    return {k: v for k, v in sorted(acc.items()) if v != 0}
+
+
 class DivisorExpr:
     """Formal rational linear combination of divisor symbols.
 
@@ -117,17 +153,8 @@ class DivisorExpr:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(
-        self,
-        coeffs: Mapping[str, RationalInput] | Iterable[tuple[str, RationalInput]] = (),
-    ):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[str, Fraction] = {}
-        for sym, value in items:
-            if not isinstance(sym, str) or not sym:
-                raise TypeError("divisor symbols must be non-empty strings")
-            acc[sym] = acc.get(sym, _ZERO) + rat(value)
-        self._coeffs = {s: q for s, q in sorted(acc.items()) if q != 0}
+    def __init__(self, coeffs: _Terms[str] = ()):
+        self._coeffs = _canonical(coeffs)
 
     @classmethod
     def symbol(cls, name: str, coeff: RationalInput = 1) -> "DivisorExpr":
@@ -159,10 +186,7 @@ class DivisorExpr:
     def __add__(self, other: "DivisorExpr") -> "DivisorExpr":
         if not isinstance(other, DivisorExpr):
             return NotImplemented
-        merged = dict(self._coeffs)
-        for s, q in other._coeffs.items():
-            merged[s] = merged.get(s, _ZERO) + q
-        return DivisorExpr(merged)
+        return DivisorExpr((*self._coeffs.items(), *other._coeffs.items()))
 
     def __sub__(self, other: "DivisorExpr") -> "DivisorExpr":
         if not isinstance(other, DivisorExpr):
@@ -170,7 +194,7 @@ class DivisorExpr:
         return self + (-other)
 
     def __neg__(self) -> "DivisorExpr":
-        return DivisorExpr({s: -q for s, q in self._coeffs.items()})
+        return self * -1
 
     def __mul__(self, scalar: RationalInput) -> "DivisorExpr":
         if isinstance(scalar, DivisorExpr):
@@ -198,23 +222,8 @@ class DivisorExpr:
         return f"DivisorExpr({self})"
 
 
-def _normalize_terms(
-    degree: int,
-    terms: Mapping[Sequence[str], RationalInput]
-    | Iterable[tuple[Sequence[str], RationalInput]],
-) -> dict[tuple[str, ...], Fraction]:
-    items = terms.items() if isinstance(terms, Mapping) else terms
-    acc: dict[tuple[str, ...], Fraction] = {}
-    for key, value in items:
-        mono = tuple(sorted(key))
-        if len(mono) != degree or not all(isinstance(s, str) for s in mono):
-            raise ValueError(f"monomial {key!r} does not have degree {degree}")
-        acc[mono] = acc.get(mono, _ZERO) + rat(value)
-    return {k: v for k, v in sorted(acc.items()) if v != 0}
-
-
 class ClassExpr:
-    """Homogeneous symbolic class of degree 0..3.
+    """Homogeneous symbolic class of degree 0, 1 or 2.
 
     Degree-two classes may additionally carry the formal ``c2`` atom.
     Products truncate above degree three; a top-degree (three) product is
@@ -226,14 +235,13 @@ class ClassExpr:
     def __init__(
         self,
         degree: int,
-        terms: Mapping[Sequence[str], RationalInput]
-        | Iterable[tuple[Sequence[str], RationalInput]] = (),
+        terms: _Terms[Sequence[str]] = (),
         c2_atom_coeff: RationalInput = 0,
     ):
-        if degree not in (0, 1, 2, 3):
-            raise ValueError(f"class degree must be 0..3, got {degree}")
+        if degree not in (0, 1, 2):
+            raise ValueError(f"class degree must be 0..2, got {degree}")
         self._degree = degree
-        self._terms = _normalize_terms(degree, terms)
+        self._terms = _canonical(terms, degree)
         c2 = rat(c2_atom_coeff)
         if c2 != 0 and degree != 2:
             raise ValueError("the c2 atom is a degree-2 class")
@@ -289,10 +297,11 @@ class ClassExpr:
             raise ValueError(
                 f"cannot add classes of degrees {self._degree} and {other._degree}"
             )
-        merged: dict[tuple[str, ...], Fraction] = dict(self._terms)
-        for k, v in other._terms.items():
-            merged[k] = merged.get(k, _ZERO) + v
-        return ClassExpr(self._degree, merged, self._c2 + other._c2)
+        return ClassExpr(
+            self._degree,
+            (*self._terms.items(), *other._terms.items()),
+            self._c2 + other._c2,
+        )
 
     def __sub__(self, other: "ClassExpr") -> "ClassExpr":
         if not isinstance(other, ClassExpr):
@@ -300,9 +309,7 @@ class ClassExpr:
         return self + (-other)
 
     def __neg__(self) -> "ClassExpr":
-        return ClassExpr(
-            self._degree, {k: -v for k, v in self._terms.items()}, -self._c2
-        )
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, ClassExpr):
@@ -339,43 +346,20 @@ class ClassExpr:
         if total <= 2:
             # degrees here are 1+1, so neither factor can carry the atom
             return ClassExpr(total, poly)
-        pairings: dict[str, Fraction] = {}
-        if self._c2 != 0:
-            for (s,), v in other._terms.items():
-                pairings[s] = pairings.get(s, _ZERO) + self._c2 * v
-        if other._c2 != 0:
-            for (s,), v in self._terms.items():
-                pairings[s] = pairings.get(s, _ZERO) + other._c2 * v
+        pairings: list[tuple[str, Fraction]] = []
+        for atom, linear in ((self._c2, other), (other._c2, self)):
+            if atom != 0:
+                pairings += [(s, atom * v) for (s,), v in linear._terms.items()]
         return NumberExpr(poly, pairings)
-
-    def as_number(self) -> "NumberExpr":
-        """View a degree-3 (or degree-0) class as a NumberExpr."""
-        if self._degree == 3:
-            return NumberExpr(self._terms)
-        if self._degree == 0:
-            return NumberExpr(constant=self.scalar_value())
-        raise ValueError(f"degree-{self._degree} classes are not numbers")
 
     def substitute(self, mapping: Mapping[str, DivisorExpr]) -> "ClassExpr":
         """Replace symbols by divisor expressions; the c2 atom is untouched."""
-        acc: dict[tuple[str, ...], Fraction] = {}
-
-        def expand(key: tuple[str, ...], coeff: Fraction, done: tuple[str, ...]):
-            if not key:
-                mono = tuple(sorted(done))
-                acc[mono] = acc.get(mono, _ZERO) + coeff
-                return
-            head, rest = key[0], key[1:]
-            div = mapping.get(head)
-            if div is None:
-                expand(rest, coeff, done + (head,))
-                return
-            for s, c in div.items():
-                expand(rest, coeff * c, done + (s,))
-
-        for key, v in self._terms.items():
-            expand(key, v, ())
-        return ClassExpr(self._degree, acc, self._c2)
+        terms = [
+            item
+            for key, v in self._terms.items()
+            for item in _substituted(mapping, ClassExpr.scalar(v), key).terms.items()
+        ]
+        return ClassExpr(self._degree, terms, self._c2)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClassExpr):
@@ -411,23 +395,13 @@ class NumberExpr:
 
     def __init__(
         self,
-        cubic: Mapping[Sequence[str], RationalInput]
-        | Iterable[tuple[Sequence[str], RationalInput]] = (),
-        c2_pairings: Mapping[str, RationalInput]
-        | Iterable[tuple[str, RationalInput]] = (),
+        cubic: _Terms[Sequence[str]] = (),
+        c2_pairings: _Terms[str] = (),
         chi_o_coeff: RationalInput = 0,
         constant: RationalInput = 0,
     ):
-        self._cubic = _normalize_terms(3, cubic)
-        items = (
-            c2_pairings.items() if isinstance(c2_pairings, Mapping) else c2_pairings
-        )
-        acc: dict[str, Fraction] = {}
-        for sym, value in items:
-            if not isinstance(sym, str):
-                raise TypeError("c2 pairings are keyed by symbol names")
-            acc[sym] = acc.get(sym, _ZERO) + rat(value)
-        self._pairings = {s: v for s, v in sorted(acc.items()) if v != 0}
+        self._cubic = _canonical(cubic, 3)
+        self._pairings = _canonical(c2_pairings, pairing=True)
         self._chi_o = rat(chi_o_coeff)
         self._const = rat(constant)
 
@@ -475,14 +449,11 @@ class NumberExpr:
     def __add__(self, other: "NumberExpr") -> "NumberExpr":
         if not isinstance(other, NumberExpr):
             return NotImplemented
-        cubic = dict(self._cubic)
-        for k, v in other._cubic.items():
-            cubic[k] = cubic.get(k, _ZERO) + v
-        pairings = dict(self._pairings)
-        for s, v in other._pairings.items():
-            pairings[s] = pairings.get(s, _ZERO) + v
         return NumberExpr(
-            cubic, pairings, self._chi_o + other._chi_o, self._const + other._const
+            (*self._cubic.items(), *other._cubic.items()),
+            (*self._pairings.items(), *other._pairings.items()),
+            self._chi_o + other._chi_o,
+            self._const + other._const,
         )
 
     def __sub__(self, other: "NumberExpr") -> "NumberExpr":
@@ -491,12 +462,7 @@ class NumberExpr:
         return self + (-other)
 
     def __neg__(self) -> "NumberExpr":
-        return NumberExpr(
-            {k: -v for k, v in self._cubic.items()},
-            {s: -v for s, v in self._pairings.items()},
-            -self._chi_o,
-            -self._const,
-        )
+        return self * -1
 
     def __mul__(self, scalar):
         if isinstance(scalar, (ClassExpr, NumberExpr, DivisorExpr)):
@@ -526,25 +492,19 @@ class NumberExpr:
 
     def substitute(self, mapping: Mapping[str, DivisorExpr]) -> "NumberExpr":
         """Replace symbols by divisor expressions (trilinear expansion)."""
-        cubic: dict[tuple[str, ...], Fraction] = {}
-        for (a, b, c), v in self._cubic.items():
-            da = mapping.get(a, DivisorExpr.symbol(a))
-            db = mapping.get(b, DivisorExpr.symbol(b))
-            dc = mapping.get(c, DivisorExpr.symbol(c))
-            for s1, c1 in da.items():
-                for s2, c2 in db.items():
-                    for s3, c3 in dc.items():
-                        key = tuple(sorted((s1, s2, s3)))
-                        cubic[key] = cubic.get(key, _ZERO) + v * c1 * c2 * c3
-        pairings: dict[str, Fraction] = {}
-        for s, v in self._pairings.items():
-            div = mapping.get(s)
-            if div is None:
-                pairings[s] = pairings.get(s, _ZERO) + v
-            else:
-                for b, c in div.items():
-                    pairings[b] = pairings.get(b, _ZERO) + v * c
-        return NumberExpr(cubic, pairings, self._chi_o, self._const)
+        products = [
+            _substituted(mapping, ClassExpr.scalar(v), key)
+            for key, v in self._cubic.items()
+        ] + [
+            _substituted(mapping, ClassExpr.c2_atom(v), (s,))
+            for s, v in self._pairings.items()
+        ]
+        return NumberExpr(
+            [item for n in products for item in n.cubic_terms.items()],
+            [item for n in products for item in n.c2_pairings.items()],
+            self._chi_o,
+            self._const,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumberExpr):
@@ -604,9 +564,19 @@ def expand_product(factors: Sequence[ClassExpr]) -> ClassExpr | NumberExpr:
             acc = acc * f.scalar_value()
         else:
             acc = acc * f
-    if total == 3 and isinstance(acc, ClassExpr):
-        acc = acc.as_number()
     return acc
+
+
+def _substituted(
+    mapping: Mapping[str, DivisorExpr], coeff: ClassExpr, key: Sequence[str]
+) -> ClassExpr | NumberExpr:
+    """``coeff`` times the product of the symbols in ``key``, each replaced
+    by its divisor in ``mapping`` where it has one."""
+    lifts = [
+        ClassExpr.from_divisor(mapping[s]) if s in mapping else ClassExpr.symbol(s)
+        for s in key
+    ]
+    return expand_product([coeff, *lifts])
 
 
 def expand_divisors(*divisors: DivisorExpr) -> ClassExpr | NumberExpr:

@@ -319,11 +319,6 @@ class ThreefoldProfile:
 
     # -- flags ----------------------------------------------------------
 
-    def has_flag(self, kind: FlagKind | str, subject: DivisorExpr | None = None) -> bool:
-        """Whether the exact flag is declared (no implication closure)."""
-        kind = FlagKind(kind)
-        return any(f.kind == kind and f.subject == subject for f in self.flags)
-
     def find_flag(
         self, kind: FlagKind | str, subject: DivisorExpr | None = None
     ) -> PositivityFlag | None:

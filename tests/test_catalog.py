@@ -86,6 +86,12 @@ class TestPencilFiberClass:
         eps, value = bad_anticanonical_witness(entry, [Fraction(1, 10)])
         assert (eps, value) == (Fraction(1, 10), Fraction(24, 25))
 
+    def test_witness_rejects_nonpositive_eps(self):
+        # eps = 0 once reported K.F^2 as a witness, with no ample class behind it
+        for eps in (0, Fraction(-1, 2)):
+            with pytest.raises(ValueError):
+                bad_anticanonical_witness(get("Pencil5"), [Fraction(1, 2), eps])
+
     def test_witness_scan_can_fail(self):
         p3 = get("P3").profile.with_named_divisors(F=-1 * H)
         # K.(F + eps H)^2 = -4 (eps - 1)^2 <= 0 for every eps

@@ -99,10 +99,12 @@ class TestValidate:
             pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1/0"], id="degree-zero-denominator"),
             pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "abc"], id="eps-not-rational"),
             pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "1/0"], id="eps-zero-denominator"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "0"], id="eps-zero"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps=-1/2"], id="eps-negative"),
         ],
     )
     def test_malformed_command_line_number(self, capsys, tmp_path, monkeypatch, argv):
-        # each once escaped as a traceback with exit 1
+        # each once escaped as a traceback with exit 1, or (eps <= 0) was scanned
         monkeypatch.chdir(tmp_path)
         for name in ("P3", "Pencil5"):
             Path(f"{name}.json").write_text(serialize_profile(get(name).profile))

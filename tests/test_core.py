@@ -85,6 +85,8 @@ class TestClassExpr:
         with pytest.raises(ValueError):
             ClassExpr(4)
         with pytest.raises(ValueError):
+            ClassExpr(3, {("H", "H", "H"): 1})  # top degree is a NumberExpr
+        with pytest.raises(ValueError):
             ClassExpr(1, (), c2_atom_coeff=1)  # atom lives in degree 2
         with pytest.raises(ValueError):
             ClassExpr(2, {("H",): 1})

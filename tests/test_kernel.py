@@ -1,10 +1,11 @@
-"""The integer kernel against the `Fraction` loops it replaced.
+"""The integer kernel and the ring's substitution against the loops they replaced.
 
 `ThreefoldProfile.triple_eval`, `number_eval` and the ring product under
-`expand_product` multiply integers over common denominators.  The
-reference functions below are the plain `Fraction` loops those methods
-ran before; every public result must equal theirs exactly, in value and
-in type.
+`expand_product` multiply integers over common denominators, and
+`ClassExpr.substitute` and `NumberExpr.substitute` multiply the lifted
+divisors through `expand_product`.  The reference functions below are the
+plain `Fraction` loops and expanders those methods ran before; every
+public result must equal theirs exactly, in value and in type.
 """
 
 import contextlib
@@ -100,6 +101,49 @@ def reference_mul_class(self, other):
     return NumberExpr(poly, pairings)
 
 
+def reference_class_substitute(expr, mapping):
+    acc = {}
+
+    def expand(key, coeff, done):
+        if not key:
+            mono = tuple(sorted(done))
+            acc[mono] = acc.get(mono, _ZERO) + coeff
+            return
+        head, rest = key[0], key[1:]
+        div = mapping.get(head)
+        if div is None:
+            expand(rest, coeff, done + (head,))
+            return
+        for s, c in div.items():
+            expand(rest, coeff * c, done + (s,))
+
+    for key, v in expr.terms.items():
+        expand(key, v, ())
+    return ClassExpr(expr.degree, acc, expr.c2_atom_coeff)
+
+
+def reference_number_substitute(expr, mapping):
+    cubic = {}
+    for (a, b, c), v in expr.cubic_terms.items():
+        da = mapping.get(a, DivisorExpr.symbol(a))
+        db = mapping.get(b, DivisorExpr.symbol(b))
+        dc = mapping.get(c, DivisorExpr.symbol(c))
+        for s1, c1 in da.items():
+            for s2, c2 in db.items():
+                for s3, c3 in dc.items():
+                    key = tuple(sorted((s1, s2, s3)))
+                    cubic[key] = cubic.get(key, _ZERO) + v * c1 * c2 * c3
+    pairings = {}
+    for s, v in expr.c2_pairings.items():
+        div = mapping.get(s)
+        if div is None:
+            pairings[s] = pairings.get(s, _ZERO) + v
+        else:
+            for b, c in div.items():
+                pairings[b] = pairings.get(b, _ZERO) + v * c
+    return NumberExpr(cubic, pairings, expr.chi_o_coeff, expr.constant)
+
+
 @contextlib.contextmanager
 def reference_path():
     """Route the library through the reference loops."""
@@ -154,6 +198,35 @@ def divisors(basis):
 def profile_and_divisors(draw):
     p = draw(profiles())
     return p, [draw(divisors(p.basis)) for _ in range(3)]
+
+
+SYMBOLS = ("A", "D", "E", "H", "K")
+
+
+def monomials(degree):
+    return st.lists(st.sampled_from(SYMBOLS), min_size=degree, max_size=degree).map(tuple)
+
+
+@st.composite
+def classes(draw):
+    """Classes of degree 0, 1 and 2, a degree-2 class with or without the c2 atom."""
+    degree = draw(st.integers(0, 2))
+    terms = draw(st.lists(st.tuples(monomials(degree), rationals), max_size=5))
+    c2 = draw(st.one_of(st.just(0), rationals)) if degree == 2 else 0
+    return ClassExpr(degree, terms, c2)
+
+
+@st.composite
+def numbers(draw):
+    """Cubic terms, c2 pairings, a chi_O multiple and a constant, each possibly empty."""
+    cubic = draw(st.lists(st.tuples(monomials(3), rationals), max_size=5))
+    pairings = draw(st.lists(st.tuples(st.sampled_from(SYMBOLS), rationals), max_size=3))
+    zero_or_rational = st.one_of(st.just(0), rationals)
+    return NumberExpr(cubic, pairings, draw(zero_or_rational), draw(zero_or_rational))
+
+
+# symbols left out of a mapping stay as they are
+mappings = st.dictionaries(st.sampled_from(SYMBOLS), divisors(("E", "G", "H")), max_size=3)
 
 
 # -- differential tests ----------------------------------------------------------
@@ -211,6 +284,16 @@ def test_expand_product_matches_fraction_loops(case, c2_coeff):
         expected = [product() for product in products]
     for product, value in zip(products, expected):
         _same(product(), value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(classes(), numbers()), mappings)
+def test_substitute_matches_expanders(expr, mapping):
+    if isinstance(expr, ClassExpr):
+        expected = reference_class_substitute(expr, mapping)
+    else:
+        expected = reference_number_substitute(expr, mapping)
+    _same(expr.substitute(mapping), expected)
 
 
 # -- the compile-once contract ------------------------------------------------------

@@ -18,6 +18,7 @@ pull-backs of ample classes are merely nef.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -25,6 +26,7 @@ from typing import Mapping
 from .bounds import fukuma_gap_cubic, fukuma_ka_class
 from .core import CalcError, ClassExpr, DivisorExpr, RationalInput, UnknownSymbolError, rat
 from .profile import VARIETY_LEVEL_KINDS, ThreefoldProfile
+from .profile_io import _SYMBOL
 
 
 class SymbolCollisionError(CalcError):
@@ -54,13 +56,23 @@ class BlowupMap:
     center: CurveCenter | None = None
 
 
-def _transported_flags(p: ThreefoldProfile):
-    return frozenset(f for f in p.flags if f.kind in VARIETY_LEVEL_KINDS)
+def _blown_up(p: ThreefoldProfile, e: str, triple, c2, canonical) -> ThreefoldProfile:
+    """The profile over the basis extended by ``e``, with the transported flags."""
+    return ThreefoldProfile(
+        basis=p.basis + (e,),
+        triple=triple,
+        c2_vector=c2,
+        chi_O=p.chi_O,
+        canonical=canonical,
+        flags=frozenset(f for f in p.flags if f.kind in VARIETY_LEVEL_KINDS),
+        named_divisors=p.named_divisors,
+    )
 
 
 def _check_new_symbol(p: ThreefoldProfile, new_symbol: str) -> None:
-    if not isinstance(new_symbol, str) or not new_symbol:
-        raise ValueError("the exceptional symbol must be a non-empty string")
+    # a profile file names its symbols in the divisor grammar
+    if not isinstance(new_symbol, str) or not re.fullmatch(_SYMBOL, new_symbol):
+        raise ValueError(f"exceptional symbol {new_symbol!r} does not match {_SYMBOL}")
     if new_symbol in p.basis:
         raise SymbolCollisionError(
             f"symbol '{new_symbol}' already belongs to the basis"
@@ -81,15 +93,7 @@ def blow_up_point(
     triple = dict(p.symmetric_triple())
     triple[(e, e, e)] = Fraction(1)
     c2 = {s: v for s, v in p.c2_vector.items() if v != 0}
-    source = ThreefoldProfile(
-        basis=p.basis + (e,),
-        triple=triple,
-        c2_vector=c2,
-        chi_O=p.chi_O,
-        canonical=p.canonical + DivisorExpr.symbol(e, 2),
-        flags=_transported_flags(p),
-        named_divisors=p.named_divisors,
-    )
+    source = _blown_up(p, e, triple, c2, p.canonical + DivisorExpr.symbol(e, 2))
     return source, BlowupMap(source=source, target=p, exceptional=e)
 
 
@@ -139,15 +143,7 @@ def blow_up_curve(
     if canonical_dot_curve != 0:
         c2[e] = -canonical_dot_curve
 
-    source = ThreefoldProfile(
-        basis=p.basis + (e,),
-        triple=triple,
-        c2_vector=c2,
-        chi_O=p.chi_O,
-        canonical=p.canonical + DivisorExpr.symbol(e),
-        flags=_transported_flags(p),
-        named_divisors=p.named_divisors,
-    )
+    source = _blown_up(p, e, triple, c2, p.canonical + DivisorExpr.symbol(e))
     center = CurveCenter(genus=genus, degrees=tuple(sorted(deg.items())))
     return source, BlowupMap(source=source, target=p, exceptional=e, center=center)
 

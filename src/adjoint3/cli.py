@@ -2,10 +2,10 @@
 
 Every command prints a single deterministic JSON report (for several input
 files, a JSON array of reports in input order).  Exit codes: 0 on success,
-1 on validation or hypothesis-contradiction errors, 2 on malformed input.
-The two commands that produce profiles (``catalog`` and ``blowup``)
-write a profile file instead, either to ``--output`` or to standard
-output.
+1 on validation or hypothesis-contradiction errors, 2 on malformed input,
+a command line argparse rejects (a ``UsageError``) included.  The two commands
+that produce profiles (``catalog`` and ``blowup``) write a profile file
+instead, either to ``--output`` or to standard output.
 """
 
 from __future__ import annotations
@@ -239,13 +239,16 @@ def _cmd_blowup(args) -> int:
     profile = _load_single_profile(args, inputs)
     if profile is None:
         return EXIT_OPERATION
-    if args.curve is not None:
-        genus, degrees = _parse_curve_spec(args.curve)
-        inputs["curve"] = args.curve
-        transformed, _ = blow_up_curve(profile, args.symbol, genus, degrees)
-    else:
-        inputs["point"] = True
-        transformed, _ = blow_up_point(profile, args.symbol)
+    try:
+        if args.curve is not None:
+            genus, degrees = _parse_curve_spec(args.curve)
+            inputs["curve"] = args.curve
+            transformed, _ = blow_up_curve(profile, args.symbol, genus, degrees)
+        else:
+            inputs["point"] = True
+            transformed, _ = blow_up_point(profile, args.symbol)
+    except ValueError as exc:  # an exceptional symbol the divisor grammar cannot write
+        raise DivisorParseError(str(exc)) from exc
     return _write_profile(args, inputs, transformed, {"basis": list(transformed.basis)})
 
 
@@ -294,8 +297,13 @@ def _cmd_witness(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # `main` reports it as JSON instead of exiting
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="adjoint3",
         description=(
             "Exact intersection-theory calculator for adjoint-bundle "
@@ -359,9 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    words = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = build_parser().parse_args(words)
         return args.handler(args)
+    except argparse.ArgumentError as exc:  # usage; the command as typed, known or not
+        command = words[0] if words and not words[0].startswith("-") else None
+        error = {"type": "UsageError", "message": str(exc)}
+        print(json.dumps({"command": command, "error": error}, indent=2))
+        return EXIT_MALFORMED
     except tuple(_COMMAND_ERRORS) as exc:
         report, code = _error_report(args.command, exc, _COMMAND_ERRORS)
         print(json.dumps(report, indent=2))

@@ -22,10 +22,11 @@ establishes it for every constructor -- `DivisorExpr`, the monomials of
 the arithmetic only hands it raw (key, value) pairs.  Equal expressions
 therefore have equal terms, and equality decides identities.
 
-Symbol names are free.  By convention the name ``K`` denotes the canonical
-class in profile-independent identities; `identity_check` folds the pairing
-``c2 . K`` into ``-24 * chi_O`` on both sides before comparing, which is
-the relation tying the two atoms together on any threefold.
+Symbol names are non-empty strings.  By convention the name ``K`` denotes
+the canonical class in profile-independent identities; `identity_check`
+folds the pairing ``c2 . K`` into ``-24 * chi_O`` on both sides before
+comparing, which is the relation tying the two atoms together on any
+threefold.
 """
 
 from __future__ import annotations
@@ -119,25 +120,22 @@ def _pretty_terms(parts: list[tuple[Fraction, str]]) -> str:
     return " ".join(chunks)
 
 
-def _canonical(
-    terms: _Terms[_K], degree: int | None = None, pairing: bool = False
-) -> dict[_K, Fraction]:
+def _canonical(terms: _Terms[_K], degree: int | None = None) -> dict[_K, Fraction]:
     """The canonical form of a sum of (key, value) terms.
 
     Values are summed with `rat`, zero sums are dropped and keys sorted.
     Each key is checked as it comes: with an integer ``degree`` it is a
     monomial, stored as the sorted tuple of its ``degree`` symbol names;
-    otherwise it is a symbol name, a non-empty string (any string when
-    it names the divisor of a c2 ``pairing``).
+    otherwise it is a symbol name.  Symbol names are non-empty strings.
     """
     acc: dict = {}
     for key, value in terms.items() if isinstance(terms, Mapping) else terms:
         if degree is not None:
             mono = tuple(sorted(key))
-            if len(mono) != degree or not all(isinstance(s, str) for s in mono):
+            if len(mono) != degree or not all(isinstance(s, str) and s for s in mono):
                 raise ValueError(f"monomial {key!r} does not have degree {degree}")
             key = mono
-        elif not isinstance(key, str) or not (key or pairing):
+        elif not isinstance(key, str) or not key:
             raise TypeError("symbol names must be non-empty strings")
         acc[key] = acc.get(key, _ZERO) + rat(value)
     return {k: v for k, v in sorted(acc.items()) if v != 0}
@@ -401,7 +399,7 @@ class NumberExpr:
         constant: RationalInput = 0,
     ):
         self._cubic = _canonical(cubic, 3)
-        self._pairings = _canonical(c2_pairings, pairing=True)
+        self._pairings = _canonical(c2_pairings)
         self._chi_o = rat(chi_o_coeff)
         self._const = rat(constant)
 

@@ -20,14 +20,16 @@ picks one by a fixed rule, so certificates do not depend on set order.
 The triple tensor is stored exactly as supplied so that symmetry damage is
 observable by `ThreefoldProfile.validate`.  Evaluation reads a symmetrised
 view in which the lexicographically smallest stored permutation of each
-index triple wins.  On a profile's first evaluation that view is compiled
-into an `IntegerTensor`: one common denominator L and a dense integer
-tensor T on basis positions, where T[i][j][k] / L is the symmetrised
-value of the triple, in every order of i, j and k.  Evaluations multiply integers
-and build one `Fraction` at the end, so they return the very rationals
-the `Fraction` arithmetic would.  Copies made by `with_flags` and
-`with_named_divisors` share the compiled form; construction, parsing,
-validation, serialization and blow-ups never compile it.
+index triple wins; the constructor builds both in one pass and records the
+triples stored under several permutations, which `validate` compares.  On
+first evaluation the view is compiled into an `IntegerTensor`: one common
+denominator L and a dense integer tensor T on basis positions, where
+T[i][j][k] / L is the value of the triple in every order of i, j and k.
+Evaluations multiply integers and build one `Fraction` at the end, so they
+return the very rationals the `Fraction` arithmetic would.  Copies made by
+`with_flags` and `with_named_divisors` share all validated data, the
+compiled form included, and check only the flags and divisors they add;
+construction, parsing, validation, serialization and blow-ups never compile.
 """
 
 from __future__ import annotations
@@ -153,6 +155,14 @@ def _coerce_divisor(value) -> DivisorExpr:
     raise TypeError("expected a DivisorExpr or a symbol->rational mapping")
 
 
+def _checked_flags(flags: Iterable[PositivityFlag]) -> frozenset[PositivityFlag]:
+    flags = frozenset(flags)
+    for f in flags:
+        if not isinstance(f, PositivityFlag):
+            raise TypeError("flags must be PositivityFlag instances")
+    return flags
+
+
 class IntegerTensor(NamedTuple):
     """The symmetrised triple tensor as integers over one common denominator.
 
@@ -204,6 +214,7 @@ class ThreefoldProfile:
         "flags",
         "named_divisors",
         "_sym_triple",
+        "_shared",
         "_compiled",
     )
 
@@ -225,34 +236,36 @@ class ThreefoldProfile:
             raise ValueError("basis symbols must be non-empty strings")
 
         items = triple.items() if isinstance(triple, Mapping) else triple
+        # one pass: the stored tensor and the view, smallest stored permutation winning
         stored: dict[tuple[str, str, str], Fraction] = {}
+        sym: dict[tuple[str, str, str], Fraction] = {}
+        holders = {}  # sorted triple -> its smallest stored permutation so far
+        shared = {}  # sorted triple -> its stored permutations, when several
         for key, value in items:
             key = tuple(key)
-            if len(key) != 3 or not all(isinstance(s, str) for s in key):
+            a, b, c = key if len(key) == 3 else (None, None, None)
+            if not (isinstance(a, str) and isinstance(b, str) and isinstance(c, str)):
                 raise ValueError(f"triple keys are symbol triples, got {key!r}")
-            stored[key] = rat(value)
+            stored[key] = value = rat(value)
+            skey = key if a <= b <= c else tuple(sorted(key))
+            holder = holders.setdefault(skey, key)
+            if holder is not key and holder != key:  # stored under a second permutation
+                shared.setdefault(skey, {holder}).add(key)
+                if key > holder:
+                    continue
+                holders[skey] = key
+            sym[skey] = value
         self.triple = MappingProxyType(stored)
+        self._sym_triple = sym
+        self._shared = shared
 
         c2_items = c2_vector.items() if isinstance(c2_vector, Mapping) else c2_vector
         self.c2_vector = MappingProxyType({s: rat(v) for s, v in c2_items})
         self.chi_O = rat(chi_O)
         self.canonical = _coerce_divisor(canonical)
-        self.flags = frozenset(flags)
-        for f in self.flags:
-            if not isinstance(f, PositivityFlag):
-                raise TypeError("flags must be PositivityFlag instances")
+        self.flags = _checked_flags(flags)
         named = named_divisors.items() if isinstance(named_divisors, Mapping) else named_divisors
-        self.named_divisors = MappingProxyType(
-            {n: _coerce_divisor(d) for n, d in named}
-        )
-
-        # symmetrised view: smallest stored permutation of each triple wins
-        sym: dict[tuple[str, str, str], Fraction] = {}
-        for key in sorted(stored):
-            skey = tuple(sorted(key))
-            if skey not in sym:
-                sym[skey] = stored[key]
-        self._sym_triple = sym
+        self.named_divisors = MappingProxyType({n: _coerce_divisor(d) for n, d in named})
         # the IntegerTensor of `sym`, made on first use; shared with derived copies
         self._compiled: list[IntegerTensor | None] = [None]
 
@@ -354,26 +367,22 @@ class ThreefoldProfile:
     # -- derived copies ---------------------------------------------------
 
     def _derived(self, flags, named_divisors) -> "ThreefoldProfile":
-        copy = ThreefoldProfile(
-            self.basis,
-            self.triple,
-            self.c2_vector,
-            self.chi_O,
-            self.canonical,
-            flags,
-            named_divisors,
-        )
-        copy._compiled = self._compiled  # same basis and tensor
+        # a copy sharing all validated data; the callers check what they add
+        copy = object.__new__(ThreefoldProfile)
+        for name in ThreefoldProfile.__slots__:
+            setattr(copy, name, getattr(self, name))
+        copy.flags = flags
+        copy.named_divisors = named_divisors
         return copy
 
     def with_flags(self, *new_flags: PositivityFlag, replace: bool = False):
-        flags = frozenset(new_flags) if replace else self.flags | frozenset(new_flags)
-        return self._derived(flags, self.named_divisors)
+        new = _checked_flags(new_flags)
+        return self._derived(new if replace else self.flags | new, self.named_divisors)
 
     def with_named_divisors(self, **named: DivisorExpr):
         merged = dict(self.named_divisors)
-        merged.update(named)
-        return self._derived(self.flags, merged)
+        merged.update((n, _coerce_divisor(d)) for n, d in named.items())
+        return self._derived(self.flags, MappingProxyType(merged))
 
     # -- validation ------------------------------------------------------
 
@@ -409,11 +418,8 @@ class ThreefoldProfile:
                     if s not in basis:
                         out.append(f"unknown symbol '{s}' in flag {f}")
 
-        groups: dict[tuple[str, str, str], list[tuple[tuple[str, str, str], Fraction]]] = {}
-        for key, value in self.triple.items():
-            groups.setdefault(tuple(sorted(key)), []).append((key, value))
-        for skey in sorted(groups):
-            entries = sorted(groups[skey])
+        for skey in sorted(self._shared):
+            entries = sorted((key, self.triple[key]) for key in self._shared[skey])
             baseline_key, baseline_value = entries[0]
             for key, value in entries[1:]:
                 if value != baseline_value:

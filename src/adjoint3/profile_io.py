@@ -4,7 +4,10 @@ Profiles are stored as JSON with exact rationals rendered as ``p/q``
 strings (never floating point), the triple tensor as records
 ``{i, j, k, value}`` with sorted basis indices, and flags as
 ``{kind, subject}`` records.  Serialization is canonical: re-serializing a
-parsed file reproduces it byte for byte.
+parsed file reproduces it byte for byte.  It writes the canonical text
+directly, in the layout of ``json.dumps(..., indent=2)``; a test pins the
+bytes to that layout.  Parsing reads each triple record in one pass and
+converts each distinct value string once.
 
 Divisor expressions use the grammar ``coef*SYM (+|-) ...`` with rational
 coefficients ``p/q``; whitespace is insignificant, the star is optional,
@@ -33,10 +36,13 @@ class DivisorParseError(CalcError):
     """A divisor expression does not follow the grammar."""
 
 
+# a symbol name the grammar can write
+_SYMBOL = r"[A-Za-z_][A-Za-z0-9_']*"
+
 _TERM_RE = re.compile(
     r"(?P<sign>[+-])?"
     r"(?:(?P<coef>\d+(?:/\d+)?)\*?)?"
-    r"(?P<sym>[A-Za-z_][A-Za-z0-9_']*)?"
+    rf"(?P<sym>{_SYMBOL})?"
 )
 
 
@@ -128,35 +134,6 @@ def _flag_record(f: PositivityFlag, basis: Sequence[str]) -> dict:
     return record
 
 
-def profile_to_dict(p: ThreefoldProfile) -> dict:
-    """JSON-ready canonical representation of a profile."""
-    index = {s: i for i, s in enumerate(p.basis)}
-    triple_records = []
-    for key, value in p.symmetric_triple().items():
-        for s in key:
-            if s not in index:
-                raise UnknownSymbolError(s, "profile serialization")
-        i, j, k = sorted(index[s] for s in key)
-        triple_records.append({"i": i, "j": j, "k": k, "value": format_rational(value)})
-    triple_records.sort(key=lambda r: (r["i"], r["j"], r["k"]))
-    flags = sorted(
-        (_flag_record(f, p.basis) for f in p.flags),
-        key=lambda r: (r["kind"], r["subject"] or ""),
-    )
-    return {
-        "basis": list(p.basis),
-        "canonical": format_divisor(p.canonical, p.basis),
-        "chi_O": format_rational(p.chi_O),
-        "c2": [format_rational(p.c2_vector.get(s, Fraction(0))) for s in p.basis],
-        "triple": triple_records,
-        "flags": flags,
-        "named_divisors": {
-            name: format_divisor(d, p.basis)
-            for name, d in sorted(p.named_divisors.items())
-        },
-    }
-
-
 def profile_from_dict(obj: object) -> ThreefoldProfile:
     """Rebuild a profile from its JSON representation."""
     if not isinstance(obj, dict):
@@ -191,19 +168,23 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
     records = obj.get("triple", [])
     if not isinstance(records, list):
         raise ProfileFormatError("'triple' must be a list of {i, j, k, value} records")
+    n = len(basis)
+    values: dict[str, Fraction] = {}  # each distinct value string, converted once
     for record in records:
-        if not isinstance(record, dict) or not {"i", "j", "k", "value"} <= set(record):
+        if not isinstance(record, dict) or not {"i", "j", "k", "value"} <= record.keys():
             raise ProfileFormatError(f"bad triple record: {record!r}")
-        ijk = tuple(record[x] for x in ("i", "j", "k"))
-        if not all(type(x) is int for x in ijk):
+        i, j, k, text = record["i"], record["j"], record["k"], record["value"]
+        if type(i) is not int or type(j) is not int or type(k) is not int:
             raise ProfileFormatError(f"triple indices must be integers: {record!r}")
         try:
-            value = rat(record["value"])
+            value = values[text] if type(text) is str and text in values else rat(text)
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ProfileFormatError(f"bad triple record {record!r}: {exc}") from exc
-        if not all(0 <= x < len(basis) for x in ijk):
+        if type(text) is str:
+            values[text] = value
+        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise ProfileFormatError(f"triple indices out of range: {record!r}")
-        key = tuple(basis[x] for x in ijk)
+        key = (basis[i], basis[j], basis[k])
         if key in triple:
             raise ProfileFormatError(f"duplicate triple record: {record!r}")
         triple[key] = value
@@ -250,9 +231,52 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
         raise ProfileFormatError(str(exc)) from exc
 
 
+def _field(name: str, value) -> str:
+    # one top-level field, as json.dumps(..., indent=2) writes it in the profile object
+    return f"  {json.dumps(name)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _triple_text(p: ThreefoldProfile) -> str:
+    """The ``triple`` list of records, nonzero values in basis-index order."""
+    index = {s: i for i, s in enumerate(p.basis)}
+    sym = p._sym_triple
+    rows = []
+    for key, value in sym.items():
+        if value:
+            try:
+                i, j, k = sorted((index[key[0]], index[key[1]], index[key[2]]))
+            except KeyError:  # report the triple met first in smallest stored key order
+                off = (t for t in p.triple if sym[tuple(sorted(t))] and set(t) - index.keys())
+                symbol = min(set(min(off)) - index.keys())
+                raise UnknownSymbolError(symbol, "profile serialization") from None
+            rows.append((i, j, k, value))
+    rows.sort()
+    records = ",\n".join(
+        f'    {{\n      "i": {i},\n      "j": {j},\n      "k": {k},\n'
+        f'      "value": "{v.numerator}/{v.denominator}"\n    }}'
+        for i, j, k, v in rows
+    )
+    return f"[\n{records}\n  ]" if rows else "[]"
+
+
 def serialize_profile(p: ThreefoldProfile) -> str:
     """Canonical JSON text for a profile (deterministic byte for byte)."""
-    return json.dumps(profile_to_dict(p), indent=2) + "\n"
+    basis = p.basis
+    flags = sorted(
+        (_flag_record(f, basis) for f in p.flags),
+        key=lambda r: (r["kind"], r["subject"] or ""),
+    )
+    named = {name: format_divisor(d, basis) for name, d in sorted(p.named_divisors.items())}
+    fields = [
+        _field("basis", list(basis)),
+        _field("canonical", format_divisor(p.canonical, basis)),
+        _field("chi_O", format_rational(p.chi_O)),
+        _field("c2", [format_rational(p.c2_vector.get(s, Fraction(0))) for s in basis]),
+        '  "triple": ' + _triple_text(p),
+        _field("flags", flags),
+        _field("named_divisors", named),
+    ]
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def parse_profile(text: str) -> ThreefoldProfile:

@@ -16,7 +16,9 @@ from adjoint3 import (
     blowdown_invariance_check,
     chi_line_bundle,
     get,
+    parse_profile,
     pull_back,
+    serialize_profile,
 )
 
 from conftest import random_divisor, random_valid_profile
@@ -106,6 +108,19 @@ class TestPointBlowup:
     def test_symbol_collision(self):
         with pytest.raises(SymbolCollisionError):
             blow_up_point(get("P3").profile, "H")
+
+    @pytest.mark.parametrize("symbol", ["", "E 1", "1E", "\u00c9", "E+F", "E\n", 5])
+    def test_exceptional_symbol_is_a_grammar_symbol(self, symbol):
+        # a profile file names its symbols in the divisor grammar
+        p3 = get("P3").profile
+        with pytest.raises(ValueError):
+            blow_up_point(p3, symbol)
+        with pytest.raises(ValueError):
+            blow_up_curve(p3, symbol, genus=0, degrees={"H": 1})
+
+    def test_grammar_symbol_round_trips(self):
+        bl, _ = blow_up_point(get("P3").profile, "E_1'")
+        assert parse_profile(serialize_profile(bl)) == bl
 
     @given(st.integers(0, 10**9))
     def test_preserves_validity_and_shifts_cube(self, seed):

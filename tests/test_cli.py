@@ -115,6 +115,55 @@ class TestValidate:
         assert report["error"]["type"] == "DivisorParseError"
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, command, message",
+        [
+            pytest.param(
+                ["witness-bad-anticanonical", "f.json", "--eps", "-1/2"],
+                "witness-bad-anticanonical",
+                "unrecognized arguments: -1/2",
+                id="negative-value-after-a-space",
+            ),
+            pytest.param(
+                ["chi", "f.json", "--divisor", "H", "--jobs", "2"],
+                "chi",
+                "unrecognized arguments: --jobs 2",
+                id="unknown-option",
+            ),
+            pytest.param(
+                ["chi", "f.json"],
+                "chi",
+                "the following arguments are required: --divisor",
+                id="missing-divisor",
+            ),
+            pytest.param(
+                ["frobnicate", "f.json"],
+                "frobnicate",
+                "argument command: invalid choice: 'frobnicate'",
+                id="unknown-command",
+            ),
+            pytest.param([], None, "the following arguments are required: command", id="no-command"),
+        ],
+    )
+    def test_reported_as_json_with_exit_2(self, capsys, argv, command, message):
+        # argparse once printed its usage to stderr and left stdout empty
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["command"] == command
+        assert report["error"]["type"] == "UsageError"
+        assert report["error"]["message"].startswith(message)
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: adjoint3")
+
+
 class TestChi:
     def test_hyperplane(self, capsys, p3_file):
         code, out = run(capsys, "chi", p3_file, "--divisor", "H")
@@ -247,6 +296,18 @@ class TestBlowup:
     def test_symbol_collision_is_operation_error(self, capsys, p3_file):
         code, out = run(capsys, "blowup", p3_file, "--point", "--symbol", "H")
         assert code == 1
+
+    @pytest.mark.parametrize("symbol", ["", "E 1", "1E", "\u00c9", "E+F"])
+    @pytest.mark.parametrize("center", [["--point"], ["--curve", "g=0,deg=H:1"]])
+    def test_symbol_outside_the_grammar_is_malformed_input(self, capsys, p3_file, center, symbol):
+        # "" once escaped as a traceback; "E 1" wrote a file that failed validation
+        code = main(["blowup", p3_file, *center, "--symbol", symbol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["command"] == "blowup"
+        assert report["error"]["type"] == "DivisorParseError"
 
 
 class TestWitness:

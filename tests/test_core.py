@@ -91,6 +91,12 @@ class TestClassExpr:
         with pytest.raises(ValueError):
             ClassExpr(2, {("H",): 1})
 
+    def test_empty_symbol_is_a_malformed_monomial(self):
+        with pytest.raises(ValueError):
+            ClassExpr.symbol("")
+        with pytest.raises(ValueError):
+            ClassExpr(2, {("H", ""): 1})
+
     def test_mixed_degree_addition_rejected(self):
         with pytest.raises(ValueError):
             ClassExpr.symbol("H") + ClassExpr.c2_atom()
@@ -173,6 +179,13 @@ class TestNumberExpr:
         assert doubled.cubic_terms[("A", "A", "K")] == 4
         assert doubled.chi_o_coeff == 6 and doubled.constant == -2
         assert (n - n).is_zero()
+
+    def test_empty_pairing_symbol_rejected(self):
+        # pairings and divisors share one key rule
+        with pytest.raises(TypeError):
+            NumberExpr(c2_pairings={"": 1})
+        with pytest.raises(TypeError):
+            DivisorExpr({"": 1})
 
     def test_fold_canonical_c2(self):
         n = NumberExpr(c2_pairings={"K": Fraction(1, 12), "A": 1})

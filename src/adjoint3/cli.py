@@ -25,7 +25,7 @@ from .bounds import (
     certify_h0_bs,
     miyaoka_c2_inequality,
 )
-from .birational import blow_up_curve, blow_up_point
+from .birational import _check_new_symbol, blow_up_curve, blow_up_point
 from .core import CalcError, UnknownSymbolError, format_rational, rat
 from .profile import MissingFlagError, ThreefoldProfile
 from .profile_io import (
@@ -239,16 +239,17 @@ def _cmd_blowup(args) -> int:
     profile = _load_single_profile(args, inputs)
     if profile is None:
         return EXIT_OPERATION
+    curve = None if args.curve is None else _parse_curve_spec(args.curve)
     try:
-        if args.curve is not None:
-            genus, degrees = _parse_curve_spec(args.curve)
-            inputs["curve"] = args.curve
-            transformed, _ = blow_up_curve(profile, args.symbol, genus, degrees)
-        else:
-            inputs["point"] = True
-            transformed, _ = blow_up_point(profile, args.symbol)
+        _check_new_symbol(profile, args.symbol)
     except ValueError as exc:  # an exceptional symbol the divisor grammar cannot write
         raise DivisorParseError(str(exc)) from exc
+    if curve is not None:
+        inputs["curve"] = args.curve
+        transformed, _ = blow_up_curve(profile, args.symbol, *curve)
+    else:
+        inputs["point"] = True
+        transformed, _ = blow_up_point(profile, args.symbol)
     return _write_profile(args, inputs, transformed, {"basis": list(transformed.basis)})
 
 

@@ -4,10 +4,11 @@ Profiles are stored as JSON with exact rationals rendered as ``p/q``
 strings (never floating point), the triple tensor as records
 ``{i, j, k, value}`` with sorted basis indices, and flags as
 ``{kind, subject}`` records.  Serialization is canonical: re-serializing a
-parsed file reproduces it byte for byte.  It writes the canonical text
-directly, in the layout of ``json.dumps(..., indent=2)``; a test pins the
-bytes to that layout.  Parsing reads each triple record in one pass and
-converts each distinct value string once.
+parsed file reproduces it byte for byte.  Serialization takes the triple
+records from the profile's symmetrised view and leaves the text to
+``json.dumps(..., indent=2)``.  Parsing reads each triple record in one
+pass and converts each distinct value string once, since the values of a
+triple tensor are mostly a few small numbers.
 
 Divisor expressions use the grammar ``coef*SYM (+|-) ...`` with rational
 coefficients ``p/q``; whitespace is insignificant, the star is optional,
@@ -231,13 +232,8 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
         raise ProfileFormatError(str(exc)) from exc
 
 
-def _field(name: str, value) -> str:
-    # one top-level field, as json.dumps(..., indent=2) writes it in the profile object
-    return f"  {json.dumps(name)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
-
-
-def _triple_text(p: ThreefoldProfile) -> str:
-    """The ``triple`` list of records, nonzero values in basis-index order."""
+def _triple_records(p: ThreefoldProfile) -> list[dict]:
+    """The ``triple`` records, nonzero values in basis-index order."""
     index = {s: i for i, s in enumerate(p.basis)}
     sym = p._sym_triple
     rows = []
@@ -251,12 +247,7 @@ def _triple_text(p: ThreefoldProfile) -> str:
                 raise UnknownSymbolError(symbol, "profile serialization") from None
             rows.append((i, j, k, value))
     rows.sort()
-    records = ",\n".join(
-        f'    {{\n      "i": {i},\n      "j": {j},\n      "k": {k},\n'
-        f'      "value": "{v.numerator}/{v.denominator}"\n    }}'
-        for i, j, k, v in rows
-    )
-    return f"[\n{records}\n  ]" if rows else "[]"
+    return [{"i": i, "j": j, "k": k, "value": format_rational(v)} for i, j, k, v in rows]
 
 
 def serialize_profile(p: ThreefoldProfile) -> str:
@@ -266,17 +257,18 @@ def serialize_profile(p: ThreefoldProfile) -> str:
         (_flag_record(f, basis) for f in p.flags),
         key=lambda r: (r["kind"], r["subject"] or ""),
     )
-    named = {name: format_divisor(d, basis) for name, d in sorted(p.named_divisors.items())}
-    fields = [
-        _field("basis", list(basis)),
-        _field("canonical", format_divisor(p.canonical, basis)),
-        _field("chi_O", format_rational(p.chi_O)),
-        _field("c2", [format_rational(p.c2_vector.get(s, Fraction(0))) for s in basis]),
-        '  "triple": ' + _triple_text(p),
-        _field("flags", flags),
-        _field("named_divisors", named),
-    ]
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+    obj = {
+        "basis": list(basis),
+        "canonical": format_divisor(p.canonical, basis),
+        "chi_O": format_rational(p.chi_O),
+        "c2": [format_rational(p.c2_vector.get(s, Fraction(0))) for s in basis],
+        "triple": _triple_records(p),
+        "flags": flags,
+        "named_divisors": {
+            name: format_divisor(d, basis) for name, d in sorted(p.named_divisors.items())
+        },
+    }
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def parse_profile(text: str) -> ThreefoldProfile:

@@ -309,6 +309,14 @@ class TestBlowup:
         assert report["command"] == "blowup"
         assert report["error"]["type"] == "DivisorParseError"
 
+    def test_only_the_symbol_check_becomes_a_parse_error(self, capsys, p3_file, monkeypatch):
+        def fails(*args):
+            raise ValueError("not about the symbol")
+
+        monkeypatch.setattr(cli, "blow_up_point", fails)
+        with pytest.raises(ValueError, match="not about the symbol"):
+            main(["blowup", p3_file, "--point", "--symbol", "E"])
+
 
 class TestWitness:
     def test_pencil_scan(self, capsys, tmp_path):

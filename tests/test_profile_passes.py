@@ -4,8 +4,8 @@ The constructor builds the stored tensor and its symmetrised view in one
 pass and records the triples stored under several permutations, which is
 all `validate` compares.  `with_flags` and `with_named_divisors` copy the
 validated data instead of rebuilding it.  `profile_from_dict` reads each
-triple record in one loop, and `serialize_profile` writes the canonical
-text directly.  The reference functions below are those of the code
+triple record in one loop, and `serialize_profile` takes its triple
+records from the symmetrised view.  The reference functions below are those of the code
 before, kept verbatim: every result, every rejection (type and message)
 and every byte must equal theirs.
 """

@@ -18,15 +18,11 @@ pull-backs of ample classes are merely nef.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .bounds import fukuma_gap_cubic, fukuma_ka_class
 from .core import CalcError, ClassExpr, DivisorExpr, RationalInput, UnknownSymbolError, rat
-from .profile import VARIETY_LEVEL_KINDS, ThreefoldProfile
-from .profile_io import _SYMBOL
+from .profile import _SYMBOL, VARIETY_LEVEL_KINDS, ThreefoldProfile, _is_symbol
 
 
 class SymbolCollisionError(CalcError):
@@ -37,16 +33,14 @@ class MissingCurveDegreeError(CalcError):
     """Curve blow-up data must pair every basis symbol with a degree."""
 
 
-@dataclass(frozen=True)
-class CurveCenter:
+class CurveCenter(NamedTuple):
     """Genus and intersection degrees D.C of a smooth curve center."""
 
     genus: int
     degrees: tuple[tuple[str, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class BlowupMap:
+class BlowupMap(NamedTuple):
     """A blow-up between two profiles: ``source`` is the blown-up threefold,
     ``center`` the blown-up curve, or None for a point."""
 
@@ -71,7 +65,7 @@ def _blown_up(p: ThreefoldProfile, e: str, triple, c2, canonical) -> ThreefoldPr
 
 def _check_new_symbol(p: ThreefoldProfile, new_symbol: str) -> None:
     # a profile file names its symbols in the divisor grammar
-    if not isinstance(new_symbol, str) or not re.fullmatch(_SYMBOL, new_symbol):
+    if not _is_symbol(new_symbol):
         raise ValueError(f"exceptional symbol {new_symbol!r} does not match {_SYMBOL}")
     if new_symbol in p.basis:
         raise SymbolCollisionError(
@@ -170,6 +164,8 @@ def blowdown_invariance_check(
     identically because K+2A is a pull-back and pull-backs annihilate E.
     Returns the two comparisons (contract: both True).
     """
+    from .bounds import fukuma_gap_cubic, fukuma_ka_class
+
     if m.center is not None:
         raise ValueError("the invariance check is defined for point blow-ups")
     a_source = pull_back(m, A_target) - DivisorExpr.symbol(m.exceptional)

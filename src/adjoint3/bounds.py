@@ -11,7 +11,6 @@ the declarations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -43,31 +42,71 @@ ROUTE_BS_CHI = "uniruled-regular-chi"
 ROUTE_NONE = "none"
 
 
-@dataclass(frozen=True)
 class Certificate:
     """Outcome of a non-vanishing certification.
 
     ``integer_bound`` is always the exact ceiling of ``rational_bound``
     (no flooring at zero), and a NonVanishing conclusion carries a strictly
-    positive bound unless the trivializing Fano route fired.
+    positive bound unless the trivializing Fano route fired.  Instances are
+    immutable, equal when all six fields are, and hash accordingly.
     """
 
-    conclusion: Conclusion
-    route: str
-    rational_bound: Fraction | None = None
-    integer_bound: int | None = None
-    hypotheses_used: tuple[PositivityFlag, ...] = ()
-    citations: tuple[str, ...] = ()
+    __slots__ = (
+        "conclusion",
+        "route",
+        "rational_bound",
+        "integer_bound",
+        "hypotheses_used",
+        "citations",
+    )
 
-    def __post_init__(self):
-        if self.rational_bound is not None:
-            if self.integer_bound != math.ceil(self.rational_bound):
+    def __init__(
+        self,
+        conclusion: Conclusion,
+        route: str,
+        rational_bound: Fraction | None = None,
+        integer_bound: int | None = None,
+        hypotheses_used: tuple[PositivityFlag, ...] = (),
+        citations: tuple[str, ...] = (),
+    ):
+        if rational_bound is not None:
+            if integer_bound != math.ceil(rational_bound):
                 raise ValueError("integer_bound must be ceil(rational_bound)")
-        elif self.integer_bound is not None:
+        elif integer_bound is not None:
             raise ValueError("integer_bound requires rational_bound")
-        if self.conclusion is Conclusion.NON_VANISHING and self.route != ROUTE_FANO_TRIVIAL:
-            if self.rational_bound is None or self.rational_bound <= 0:
+        if conclusion is Conclusion.NON_VANISHING and route != ROUTE_FANO_TRIVIAL:
+            if rational_bound is None or rational_bound <= 0:
                 raise ValueError("NonVanishing requires a positive rational bound")
+        self.conclusion = conclusion
+        self.route = route
+        self.rational_bound = rational_bound
+        self.integer_bound = integer_bound
+        self.hypotheses_used = hypotheses_used
+        self.citations = citations
+
+    def _fields(self) -> tuple:
+        return (
+            self.conclusion,
+            self.route,
+            self.rational_bound,
+            self.integer_bound,
+            self.hypotheses_used,
+            self.citations,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+        )
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _certificate(

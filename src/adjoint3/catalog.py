@@ -18,15 +18,11 @@ divisors and the canonical class K.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .birational import blow_up_curve, blow_up_point
-from .bounds import BOUND_RULES
 from .core import CalcError, DivisorExpr, format_rational, rat
 from .profile import FlagKind, ThreefoldProfile, flag
-from .profile_io import resolve_divisor
-from .riemann_roch import chi_line_bundle
 
 
 class UnknownEntryError(CalcError):
@@ -37,8 +33,7 @@ class WitnessNotFoundError(CalcError):
     """No scanned epsilon produced a strictly positive pairing."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     profile: ThreefoldProfile
     provenance: str
@@ -143,6 +138,8 @@ def hypersurface(d: int) -> CatalogEntry:
 
 def blown_up_point_p3() -> CatalogEntry:
     """P3 blown up at a point; anticanonical degree drops from 64 to 56."""
+    from .birational import blow_up_point
+
     base = projective_space().profile
     profile, _ = blow_up_point(base, "E")
     a_trivial = 2 * _H - _E  # K + 2A vanishes for this ample class
@@ -175,6 +172,8 @@ def blown_up_point_p3() -> CatalogEntry:
 
 def blown_up_line_p3() -> CatalogEntry:
     """P3 blown up along a line; a plane bundle over the projective line."""
+    from .birational import blow_up_curve
+
     base = projective_space().profile
     profile, _ = blow_up_curve(base, "E", genus=0, degrees={"H": 1})
     profile = profile.with_flags(flag(FlagKind.PSEUDO_EFFECTIVE, 4 * _H - _E))
@@ -207,6 +206,8 @@ def quintic_pencil() -> CatalogEntry:
     positive eps (declared for eps = 1/2).  This profile witnesses an
     anticanonical class that is not generically nef.
     """
+    from .birational import blow_up_curve
+
     base = projective_space().profile
     profile, _ = blow_up_curve(base, "E", genus=76, degrees={"H": 25})
     fiber = 5 * _H - _E
@@ -318,6 +319,10 @@ def bad_anticanonical_witness(
 
 def check_expected(entry: CatalogEntry) -> list[str]:
     """Evaluate every pinned expected value; returns mismatch records."""
+    from .bounds import BOUND_RULES
+    from .profile_io import resolve_divisor
+    from .riemann_roch import chi_line_bundle
+
     p = entry.profile
     ops = {
         "chi": chi_line_bundle,

@@ -16,18 +16,18 @@ import math
 import sys
 from fractions import Fraction
 
+# A command imports the modules that evaluate it in its `_cmd_*` function, so
+# a cold command compiles only what it runs.  The top level holds what the
+# parser, the error table and the shared profile file handling need.
 from . import catalog as catalog_mod
-from .bounds import (
-    BOUND_RULES,
-    Certificate,
-    FlagContradictionError,
-    certify_h0_adjoint,
-    certify_h0_bs,
-    miyaoka_c2_inequality,
-)
-from .birational import _check_new_symbol, blow_up_curve, blow_up_point
+from .bounds import BOUND_RULES
 from .core import CalcError, UnknownSymbolError, format_rational, rat
-from .profile import MissingFlagError, ThreefoldProfile
+from .profile import (
+    FlagContradictionError,
+    MissingFlagError,
+    NonIntegerChiError,
+    ThreefoldProfile,
+)
 from .profile_io import (
     DivisorParseError,
     ProfileFormatError,
@@ -36,7 +36,6 @@ from .profile_io import (
     resolve_divisor,
     serialize_profile,
 )
-from .riemann_roch import NonIntegerChiError, chi_identity_suite, chi_line_bundle
 
 EXIT_OK = 0
 EXIT_OPERATION = 1
@@ -72,7 +71,7 @@ def _bound_result(value: Fraction) -> dict:
     }
 
 
-def _certificate_record(cert: Certificate, basis) -> dict:
+def _certificate_record(cert, basis) -> dict:
     return {
         "conclusion": cert.conclusion.value,
         "route": cert.route,
@@ -128,6 +127,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_chi(args) -> int:
+    from .riemann_roch import chi_line_bundle
+
     def evaluate(profile: ThreefoldProfile, inputs: dict) -> dict:
         divisor = resolve_divisor(profile, args.divisor)
         value = chi_line_bundle(profile, divisor)
@@ -142,6 +143,8 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .bounds import miyaoka_c2_inequality
+
     def evaluate(profile: ThreefoldProfile, inputs: dict) -> dict:
         ample_divisor = resolve_divisor(profile, args.divisor)
         if args.rule == "miyaoka":
@@ -162,6 +165,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .bounds import certify_h0_adjoint, certify_h0_bs
+
     def evaluate(profile: ThreefoldProfile, inputs: dict) -> dict:
         ample_divisor = resolve_divisor(profile, args.divisor)
         certifier = certify_h0_adjoint if args.target == "adjoint" else certify_h0_bs
@@ -235,6 +240,8 @@ def _write_profile(args, inputs: dict, profile: ThreefoldProfile, result: dict) 
 
 
 def _cmd_blowup(args) -> int:
+    from .birational import _check_new_symbol, blow_up_curve, blow_up_point
+
     inputs = {"file": args.file, "symbol": args.symbol}
     profile = _load_single_profile(args, inputs)
     if profile is None:
@@ -254,6 +261,8 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    from .riemann_roch import chi_identity_suite
+
     results = chi_identity_suite()
     report = {
         "command": "identities",

@@ -32,6 +32,7 @@ threefold.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
@@ -42,6 +43,11 @@ _K = TypeVar("_K")
 _Terms = Union[Mapping[_K, RationalInput], Iterable[tuple[_K, RationalInput]]]
 
 _ZERO = Fraction(0)
+
+# a rational as text: the coefficients of the divisor grammar, and with an
+# optional sign the one string form `rat` reads
+_UNSIGNED_RATIONAL = r"\d+(?:/\d+)?"
+_RATIONAL_TEXT = re.compile(rf"[+-]?{_UNSIGNED_RATIONAL}")
 
 
 class CalcError(Exception):
@@ -66,13 +72,20 @@ class DoubleC2AtomError(CalcError):
 
 
 def rat(value: RationalInput) -> Fraction:
-    """Coerce to an exact rational. Floats and booleans are rejected, never coerced."""
+    """Coerce to an exact rational. Floats and booleans are rejected, never coerced.
+
+    A string must read exactly ``p`` or ``p/q`` with an optional sign:
+    decimals, exponents and surrounding whitespace raise `ValueError`, and
+    a zero denominator raises `ZeroDivisionError`.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        if _RATIONAL_TEXT.fullmatch(value) is None:
+            raise ValueError(f"{value!r} is not an exact rational p/q")
+        return Fraction(value)
     raise TypeError(
         f"expected an exact rational (int, Fraction or 'p/q' string), "
         f"got {type(value).__name__}"

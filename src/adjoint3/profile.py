@@ -34,7 +34,7 @@ construction, parsing, validation, serialization and blow-ups never compile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -52,6 +52,15 @@ from .core import (
 )
 
 _ZERO = Fraction(0)
+
+# a symbol name the divisor grammar can write; every basis symbol is one, so
+# that a profile file reads back as the same profile
+_SYMBOL = r"[A-Za-z_][A-Za-z0-9_']*"
+_SYMBOL_RE = re.compile(_SYMBOL)
+
+
+def _is_symbol(name: object) -> bool:
+    return isinstance(name, str) and _SYMBOL_RE.fullmatch(name) is not None
 
 
 class FlagKind(str, Enum):
@@ -98,26 +107,36 @@ def _implied(kind: FlagKind) -> frozenset[FlagKind]:
 _KIND_IMPLIES = {kind: _implied(kind) for kind in _DIRECT_IMPLIES}
 
 
-@dataclass(frozen=True)
 class PositivityFlag:
     """A trusted positivity assertion: a kind plus an optional subject.
 
     Variety-level kinds (uniruledness, irregularity, generic nefness of the
     cotangent bundle) carry no subject; all others assert a property of one
-    divisor expression.
+    divisor expression.  Instances are immutable, equal when kind and
+    subject are, and hash accordingly.
     """
 
-    kind: FlagKind
-    subject: DivisorExpr | None = None
+    __slots__ = ("kind", "subject")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kind", FlagKind(self.kind))
-        if self.kind in VARIETY_LEVEL_KINDS:
-            if self.subject is not None:
-                raise ValueError(f"{self.kind.value} is a variety-level flag")
-        else:
-            if not isinstance(self.subject, DivisorExpr):
-                raise ValueError(f"{self.kind.value} requires a divisor subject")
+    def __init__(self, kind: FlagKind | str, subject: DivisorExpr | None = None):
+        self.kind = kind = FlagKind(kind)
+        self.subject = subject
+        if kind in VARIETY_LEVEL_KINDS:
+            if subject is not None:
+                raise ValueError(f"{kind.value} is a variety-level flag")
+        elif not isinstance(subject, DivisorExpr):
+            raise ValueError(f"{kind.value} requires a divisor subject")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.subject) == (other.kind, other.subject)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.subject))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(kind={self.kind!r}, subject={self.subject!r})"
 
     def implies(self, kind: FlagKind) -> bool:
         return kind == self.kind or kind in _KIND_IMPLIES.get(self.kind, frozenset())
@@ -145,6 +164,10 @@ class MissingFlagError(CalcError):
 
 class FlagContradictionError(CalcError):
     """A declared flag contradicts a computed intersection number."""
+
+
+class NonIntegerChiError(CalcError):
+    """chi came out non-integral; the profile is not an actual threefold."""
 
 
 def _coerce_divisor(value) -> DivisorExpr:
@@ -232,8 +255,9 @@ class ThreefoldProfile:
         self.basis = tuple(basis)
         if len(set(self.basis)) != len(self.basis):
             raise ValueError("basis symbols must be distinct")
-        if not all(isinstance(s, str) and s for s in self.basis):
-            raise ValueError("basis symbols must be non-empty strings")
+        for s in self.basis:
+            if not _is_symbol(s):
+                raise ValueError(f"basis symbol {s!r} does not match {_SYMBOL}")
 
         items = triple.items() if isinstance(triple, Mapping) else triple
         # one pass: the stored tensor and the view, smallest stored permutation winning

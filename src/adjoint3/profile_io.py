@@ -23,8 +23,15 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .core import CalcError, DivisorExpr, UnknownSymbolError, format_rational, rat
-from .profile import FlagKind, PositivityFlag, ThreefoldProfile
+from .core import (
+    _UNSIGNED_RATIONAL,
+    CalcError,
+    DivisorExpr,
+    UnknownSymbolError,
+    format_rational,
+    rat,
+)
+from .profile import _SYMBOL, FlagKind, PositivityFlag, ThreefoldProfile, _is_symbol
 
 PROFILE_FIELDS = ("basis", "canonical", "chi_O", "c2", "triple", "flags", "named_divisors")
 
@@ -37,12 +44,9 @@ class DivisorParseError(CalcError):
     """A divisor expression does not follow the grammar."""
 
 
-# a symbol name the grammar can write
-_SYMBOL = r"[A-Za-z_][A-Za-z0-9_']*"
-
 _TERM_RE = re.compile(
     r"(?P<sign>[+-])?"
-    r"(?:(?P<coef>\d+(?:/\d+)?)\*?)?"
+    rf"(?:(?P<coef>{_UNSIGNED_RATIONAL})\*?)?"
     rf"(?P<sym>{_SYMBOL})?"
 )
 
@@ -144,12 +148,10 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
         raise ProfileFormatError(f"unknown profile fields: {sorted(unknown)}")
 
     basis = obj.get("basis")
-    if (
-        not isinstance(basis, list)
-        or not basis
-        or not all(isinstance(s, str) and s for s in basis)
-    ):
-        raise ProfileFormatError("'basis' must be a non-empty list of symbol names")
+    if not isinstance(basis, list) or not basis or not all(map(_is_symbol, basis)):
+        raise ProfileFormatError(
+            f"'basis' must be a non-empty list of symbol names matching {_SYMBOL}"
+        )
 
     try:
         canonical = parse_divisor(obj.get("canonical", "0"))

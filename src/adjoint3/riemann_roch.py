@@ -13,8 +13,8 @@ flag stating that the divisor has the shape canonical-plus-ample
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bounds import (
     bs_class,
@@ -24,24 +24,18 @@ from .bounds import (
     nefbig_class,
 )
 from .core import (
-    CalcError,
     ClassExpr,
     DivisorExpr,
     NumberExpr,
     expand_product,
     identity_check,
 )
-from .profile import FlagKind, ThreefoldProfile
+from .profile import FlagKind, NonIntegerChiError, ThreefoldProfile
 
 _TWELFTH = Fraction(1, 12)
 
 
-class NonIntegerChiError(CalcError):
-    """chi came out non-integral; the profile is not an actual threefold."""
-
-
-@dataclass(frozen=True)
-class ChiExpression:
+class ChiExpression(NamedTuple):
     """A divisor together with the symbolic form of its characteristic."""
 
     divisor: DivisorExpr

@@ -10,30 +10,47 @@ threefolds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ClassExpr
 
 
-@dataclass(frozen=True)
 class QTwistedBundle:
-    """Chern data of a vector bundle twisted by a rational divisor class."""
+    """Chern data of a vector bundle twisted by a rational divisor class.
 
-    rank: int
-    c1: ClassExpr
-    c2: ClassExpr
-    twist: ClassExpr
+    Instances are immutable, equal when all four fields are, and hash
+    accordingly.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.rank, int) or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank}")
-        if self.c1.degree != 1:
+    __slots__ = ("rank", "c1", "c2", "twist")
+
+    def __init__(self, rank: int, c1: ClassExpr, c2: ClassExpr, twist: ClassExpr):
+        if not isinstance(rank, int) or rank < 1:
+            raise ValueError(f"rank must be a positive integer, got {rank}")
+        if c1.degree != 1:
             raise ValueError("c1 must have degree 1")
-        if self.c2.degree != 2:
+        if c2.degree != 2:
             raise ValueError("c2 must have degree 2")
-        if self.twist.degree != 1:
+        if twist.degree != 1:
             raise ValueError("the twist must have degree 1")
+        self.rank, self.c1, self.c2, self.twist = rank, c1, c2, twist
+
+    def _fields(self) -> tuple:
+        return (self.rank, self.c1, self.c2, self.twist)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+        )
+        return f"{type(self).__qualname__}({fields})"
 
 
 def twist_c1(b: QTwistedBundle) -> ClassExpr:

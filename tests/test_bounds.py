@@ -178,6 +178,21 @@ class TestCertificateInvariants:
         cert = Certificate(Conclusion.NON_VANISHING, ROUTE_FANO_TRIVIAL)
         assert cert.rational_bound is None
 
+    def test_equality_hash_and_repr_are_those_of_the_record(self):
+        # as they were while Certificate was a frozen dataclass
+        ample = flag(FlagKind.AMPLE, H)
+        cert = Certificate(Conclusion.INCONCLUSIVE, ROUTE_NONE, Fraction(1, 2), 1, (ample,))
+        same = Certificate(Conclusion.INCONCLUSIVE, ROUTE_NONE, Fraction(1, 2), 1, (ample,))
+        assert cert == same and hash(cert) == hash(same)
+        assert cert != Certificate(Conclusion.INCONCLUSIVE, ROUTE_NONE)
+        assert cert != (Conclusion.INCONCLUSIVE, ROUTE_NONE, Fraction(1, 2), 1, (ample,), ())
+        assert repr(cert) == (
+            "Certificate(conclusion=<Conclusion.INCONCLUSIVE: 'Inconclusive'>, "
+            "route='none', rational_bound=Fraction(1, 2), integer_bound=1, "
+            "hypotheses_used=(PositivityFlag(kind=<FlagKind.AMPLE: 'Ample'>, "
+            "subject=DivisorExpr(H)),), citations=())"
+        )
+
 
 class TestCertifyAdjoint:
     def test_not_uniruled_route_on_quintic(self):

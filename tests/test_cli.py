@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import adjoint3
-from adjoint3 import bounds, catalog, cli, get, parse_profile, serialize_profile
+from adjoint3 import birational, bounds, catalog, cli, get, parse_profile, serialize_profile
 from adjoint3.cli import main
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+GOLDEN_HELP = json.loads(Path(__file__).with_name("golden_help.json").read_text())
 
 
 def run(capsys, *argv):
@@ -59,6 +60,39 @@ class TestValidate:
         assert json.loads(out)["error"]["type"] == "ProfileFormatError"
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("1.5", id="decimal"),
+            pytest.param(" 1 ", id="padded"),
+            pytest.param("1e2", id="exponent"),
+        ],
+    )
+    @pytest.mark.parametrize("field", ["chi_O", "c2", "triple"])
+    def test_inexact_rational_in_profile(self, capsys, tmp_path, field, text):
+        # each once read silently as 3/2, 1 and 100
+        obj = json.loads(serialize_profile(get("P3").profile))
+        if field == "triple":
+            obj["triple"][0]["value"] = text
+        else:
+            obj[field] = [text] if field == "c2" else text
+        path = tmp_path / "inexact.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out = run(capsys, "validate", str(path))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ProfileFormatError"
+
+    @pytest.mark.parametrize("symbol", ["\u00c9", "E 1", "1E"])
+    def test_basis_symbol_outside_the_grammar(self, capsys, tmp_path, symbol):
+        # such a basis once validated, and its file did not read back
+        obj = json.loads(serialize_profile(get("P3").profile))
+        obj["basis"] = [symbol]
+        path = tmp_path / "symbol.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out = run(capsys, "validate", str(path))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ProfileFormatError"
+
+    @pytest.mark.parametrize(
         "corrupt",
         [
             pytest.param(lambda o: o["triple"][0].update(i=0.7), id="fractional-index"),
@@ -101,6 +135,11 @@ class TestValidate:
             pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "1/0"], id="eps-zero-denominator"),
             pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "0"], id="eps-zero"),
             pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps=-1/2"], id="eps-negative"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1.5"], id="degree-decimal"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1e2"], id="degree-exponent"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "0.5"], id="eps-decimal"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", " 1/2 "], id="eps-padded"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "1e-1"], id="eps-exponent"),
         ],
     )
     def test_malformed_command_line_number(self, capsys, tmp_path, monkeypatch, argv):
@@ -313,7 +352,7 @@ class TestBlowup:
         def fails(*args):
             raise ValueError("not about the symbol")
 
-        monkeypatch.setattr(cli, "blow_up_point", fails)
+        monkeypatch.setattr(birational, "blow_up_point", fails)
         with pytest.raises(ValueError, match="not about the symbol"):
             main(["blowup", p3_file, "--point", "--symbol", "E"])
 
@@ -416,6 +455,15 @@ class TestPinnedOutput:
         code, out = run(capsys, *command.split())
         assert code == expected["exit"]
         assert out == expected["stdout"]
+
+    @pytest.mark.parametrize("command", list(GOLDEN_HELP))
+    def test_golden_help(self, capsys, monkeypatch, command):
+        # captured with COLUMNS=80 before each command imported its own modules
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(command.split())
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == GOLDEN_HELP[command]
 
     def test_one_table_of_bound_rules(self, capsys, p3_file, monkeypatch):
         rules = bounds.BOUND_RULES

@@ -29,6 +29,23 @@ def test_rat_accepts_exact_inputs():
     assert rat(Fraction(-7, 2)) == Fraction(-7, 2)
 
 
+@pytest.mark.parametrize(
+    "text", ["1.5", " 1 ", "1e2", "1/", "/2", "", "1_0", "0x10", "1/-2", "--1", "Infinity"]
+)
+def test_rat_rejects_inexact_strings(text):
+    # "1.5", " 1 " and "1e2" once read as 3/2, 1 and 100
+    with pytest.raises(ValueError):
+        rat(text)
+
+
+def test_rat_reads_signed_p_over_q():
+    assert rat("-3/4") == Fraction(-3, 4)
+    assert rat("+2") == Fraction(2)
+    assert rat("06/4") == Fraction(3, 2)
+    with pytest.raises(ZeroDivisionError):
+        rat("1/0")
+
+
 def test_rat_rejects_floats():
     with pytest.raises(TypeError):
         rat(0.5)

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -16,11 +17,14 @@ from adjoint3 import (
     FlagKind,
     MissingFlagError,
     NumberExpr,
+    ProfileFormatError,
     ThreefoldProfile,
     UnknownSymbolError,
     expand_divisors,
     flag,
     get,
+    parse_profile,
+    serialize_profile,
 )
 
 from conftest import random_divisor, random_valid_profile
@@ -80,6 +84,21 @@ class TestValidation:
     def test_duplicate_basis_rejected(self):
         with pytest.raises(ValueError):
             ThreefoldProfile(basis=("H", "H"), triple={})
+
+    @pytest.mark.parametrize("symbol", ["\u00c9", "E 1", "1E"])
+    def test_basis_symbol_outside_the_grammar_rejected(self, symbol):
+        # each once made a profile whose file did not read back: the text of
+        # '\u00c9' failed to parse, and that of 'E 1' read K back on 'E1'
+        with pytest.raises(ValueError, match="does not match"):
+            ThreefoldProfile(
+                basis=(symbol,),
+                triple={(symbol,) * 3: 1},
+                canonical=DivisorExpr.symbol(symbol, -4),
+            )
+        obj = json.loads(serialize_profile(get("P3").profile))
+        obj["basis"] = [symbol]
+        with pytest.raises(ProfileFormatError, match="'basis' must"):
+            parse_profile(json.dumps(obj))
 
 
 class TestEvaluation:
@@ -166,6 +185,14 @@ class TestEvaluation:
 
 
 class TestFlags:
+    def test_equality_hash_and_repr_are_those_of_the_record(self):
+        # as they were while PositivityFlag was a frozen dataclass
+        ample = flag(FlagKind.AMPLE, H)
+        assert ample == flag("Ample", DivisorExpr.symbol("H")) and ample != flag(FlagKind.NEF, H)
+        assert hash(ample) == hash((FlagKind.AMPLE, H))
+        assert ample != (FlagKind.AMPLE, H)
+        assert repr(ample) == "PositivityFlag(kind=<FlagKind.AMPLE: 'Ample'>, subject=DivisorExpr(H))"
+
     def test_variety_level_flags_take_no_subject(self):
         with pytest.raises(ValueError):
             flag(FlagKind.UNIRULED, H)

@@ -27,6 +27,15 @@ def random_one_class(rng: random.Random) -> ClassExpr:
 
 
 class TestBundleValidation:
+    def test_equality_hash_and_repr_are_those_of_the_record(self):
+        # as they were while QTwistedBundle was a frozen dataclass
+        b = QTwistedBundle(2, K, ClassExpr.c2_atom(), A)
+        assert b == QTwistedBundle(2, K, ClassExpr.c2_atom(), A) != QTwistedBundle(3, K, ZERO2, A)
+        assert hash(b) == hash((2, K, ClassExpr.c2_atom(), A))
+        assert repr(b) == (
+            "QTwistedBundle(rank=2, c1=ClassExpr[1](K), c2=ClassExpr[2](c2), twist=ClassExpr[1](A))"
+        )
+
     def test_rank_must_be_positive(self):
         with pytest.raises(ValueError):
             QTwistedBundle(0, K, ZERO2, ZERO1)

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import ClassExpr, DivisorExpr, NumberExpr, expand_product
+from .core import ClassExpr, DivisorExpr, NumberExpr, _Record, expand_product
 from .profile import FlagContradictionError, FlagKind, PositivityFlag, ThreefoldProfile
 from .twist import cotangent_twisted_c2
 
@@ -42,7 +42,7 @@ ROUTE_BS_CHI = "uniruled-regular-chi"
 ROUTE_NONE = "none"
 
 
-class Certificate:
+class Certificate(_Record):
     """Outcome of a non-vanishing certification.
 
     ``integer_bound`` is always the exact ceiling of ``rational_bound``
@@ -83,30 +83,6 @@ class Certificate:
         self.integer_bound = integer_bound
         self.hypotheses_used = hypotheses_used
         self.citations = citations
-
-    def _fields(self) -> tuple:
-        return (
-            self.conclusion,
-            self.route,
-            self.rational_bound,
-            self.integer_bound,
-            self.hypotheses_used,
-            self.citations,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
-        )
-        return f"{type(self).__qualname__}({fields})"
 
 
 def _certificate(

@@ -240,7 +240,8 @@ def quintic_pencil() -> CatalogEntry:
     )
 
 
-_HYPERSURFACE_RE = re.compile(r"hypersurface\((\d+)\)\Z")
+# the degree in ASCII digits without leading zeros, so each name means one entry
+_HYPERSURFACE_RE = re.compile(r"hypersurface\(([1-9][0-9]*)\)\Z")
 
 # the concrete entries in listing order; Q5 is the alias of hypersurface(5)
 _ENTRIES = {

@@ -148,8 +148,8 @@ def _cmd_bound(args) -> int:
     def evaluate(profile: ThreefoldProfile, inputs: dict) -> dict:
         ample_divisor = resolve_divisor(profile, args.divisor)
         if args.rule == "miyaoka":
-            pairing = resolve_divisor(profile, args.ample or args.divisor)
-            inputs["ample"] = args.ample or args.divisor
+            inputs["ample"] = ample = args.divisor if args.ample is None else args.ample
+            pairing = resolve_divisor(profile, ample)
             lhs, rhs, holds, met = miyaoka_c2_inequality(profile, ample_divisor, pairing)
             result = {
                 "lhs": format_rational(lhs),
@@ -188,27 +188,32 @@ def _parse_rational(text: str, what: str) -> Fraction:
 
 def _parse_curve_spec(text: str) -> tuple[int, dict[str, Fraction]]:
     genus: int | None = None
-    degrees: dict[str, Fraction] = {}
+    degrees: dict[str, Fraction] | None = None
     for part in text.split(","):
         part = part.strip()
         if part.startswith("g="):
-            try:
-                genus = int(part[2:])
-            except ValueError as exc:
-                raise DivisorParseError(f"genus '{part[2:]}' is not an integer") from exc
-            if genus < 0:
-                raise DivisorParseError(f"genus {genus} is negative")
+            if genus is not None:
+                raise DivisorParseError("curve component 'g=' given twice")
+            if not (part[2:].isascii() and part[2:].isdigit()):
+                raise DivisorParseError(f"genus '{part[2:]}' is not a nonnegative integer")
+            genus = int(part[2:])
         elif part.startswith("deg="):
+            if degrees is not None:
+                raise DivisorParseError("curve component 'deg=' given twice")
+            degrees = {}
             for pair in part[4:].split(";"):
                 sym, sep, value = pair.partition(":")
-                if not sep:
+                sym = sym.strip()
+                if not sep or not sym:
                     raise DivisorParseError(f"curve degree '{pair}' is not SYM:value")
-                degrees[sym.strip()] = _parse_rational(value, "curve degree")
+                if sym in degrees:
+                    raise DivisorParseError(f"curve degree of '{sym}' given twice")
+                degrees[sym] = _parse_rational(value, "curve degree")
         else:
             raise DivisorParseError(f"unrecognized curve component '{part}'")
     if genus is None:
         raise DivisorParseError("curve specification needs g=<genus>")
-    return genus, degrees
+    return genus, degrees or {}
 
 
 def _load_single_profile(args, inputs: dict) -> ThreefoldProfile | None:
@@ -378,6 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     words = sys.argv[1:] if argv is None else list(argv)
+    # exact numbers are read and printed in full, however many digits they have
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(words)
         return args.handler(args)
@@ -390,6 +398,8 @@ def main(argv=None) -> int:
         report, code = _error_report(args.command, exc, _COMMAND_ERRORS)
         print(json.dumps(report, indent=2))
         return code
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -22,6 +22,13 @@ establishes it for every constructor -- `DivisorExpr`, the monomials of
 the arithmetic only hands it raw (key, value) pairs.  Equal expressions
 therefore have equal terms, and equality decides identities.
 
+`_Record` is the one equality and hash protocol of the package: every
+immutable value type (the three expressions here, `PositivityFlag`,
+`ThreefoldProfile`, `Certificate` and `QTwistedBundle`) compares and hashes
+the tuple its `_fields` returns.  An expression's tuple holds its terms as
+item tuples in dict order, which is exact only because `_canonical` sorts
+every key: equal expressions list equal items in the same order.
+
 Symbol names are non-empty strings.  By convention the name ``K`` denotes
 the canonical class in profile-independent identities; `identity_check`
 folds the pairing ``c2 . K`` into ``-24 * chi_O`` on both sides before
@@ -44,9 +51,9 @@ _Terms = Union[Mapping[_K, RationalInput], Iterable[tuple[_K, RationalInput]]]
 
 _ZERO = Fraction(0)
 
-# a rational as text: the coefficients of the divisor grammar, and with an
-# optional sign the one string form `rat` reads
-_UNSIGNED_RATIONAL = r"\d+(?:/\d+)?"
+# a rational as text in ASCII digits: the coefficients of the divisor grammar,
+# and with an optional sign the one string form `rat` reads
+_UNSIGNED_RATIONAL = r"[0-9]+(?:/[0-9]+)?"
 _RATIONAL_TEXT = re.compile(rf"[+-]?{_UNSIGNED_RATIONAL}")
 
 
@@ -113,12 +120,25 @@ def _format_coeff(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+def _signed_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Join (coefficient, body) terms as ``a - b + c``, or ``0`` when empty.
+
+    Each body renders its coefficient's absolute value; the sign is written
+    here, leading on the first term and as ``+ ``/``- `` on the rest.
+    """
+    chunks: list[str] = []
+    for coeff, body in terms:
+        if chunks:
+            chunks.append(f"{'+' if coeff > 0 else '-'} {body}")
+        else:
+            chunks.append(body if coeff > 0 else f"-{body}")
+    return " ".join(chunks) or "0"
+
+
 def _pretty_terms(parts: list[tuple[Fraction, str]]) -> str:
     # parts: (coefficient, rendered monomial); monomial "" means a constant
-    if not parts:
-        return "0"
-    chunks: list[str] = []
-    for i, (coeff, mono) in enumerate(parts):
+    terms = []
+    for coeff, mono in parts:
         mag = abs(coeff)
         if mono == "":
             body = _format_coeff(mag)
@@ -126,11 +146,8 @@ def _pretty_terms(parts: list[tuple[Fraction, str]]) -> str:
             body = mono
         else:
             body = f"{_format_coeff(mag)}*{mono}"
-        if i == 0:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f"{'+' if coeff > 0 else '-'} {body}")
-    return " ".join(chunks)
+        terms.append((coeff, body))
+    return _signed_sum(terms)
 
 
 def _canonical(terms: _Terms[_K], degree: int | None = None) -> dict[_K, Fraction]:
@@ -154,7 +171,35 @@ def _canonical(terms: _Terms[_K], degree: int | None = None) -> dict[_K, Fractio
     return {k: v for k, v in sorted(acc.items()) if v != 0}
 
 
-class DivisorExpr:
+class _Record:
+    """Value equality, hashing and repr of the package's immutable types.
+
+    Two instances are equal when they are of the same class and their
+    `_fields` tuples are equal, and the hash is the hash of that tuple.
+    `_fields` reads the slots in order unless a subclass says otherwise.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+
+class DivisorExpr(_Record):
     """Formal rational linear combination of divisor symbols.
 
     Kept in canonical sparse form (zero coefficients dropped, symbols
@@ -162,10 +207,13 @@ class DivisorExpr:
     immutable; all arithmetic returns new objects.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_items")
 
     def __init__(self, coeffs: _Terms[str] = ()):
         self._coeffs = _canonical(coeffs)
+        # the terms as the tuple `==` and `hash` compare, built once rather
+        # than at each comparison on the flag-lookup path
+        self._items = tuple(self._coeffs.items())
 
     @classmethod
     def symbol(cls, name: str, coeff: RationalInput = 1) -> "DivisorExpr":
@@ -186,7 +234,7 @@ class DivisorExpr:
         return frozenset(self._coeffs)
 
     def items(self) -> tuple[tuple[str, Fraction], ...]:
-        return tuple(self._coeffs.items())
+        return self._items
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -218,13 +266,8 @@ class DivisorExpr:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DivisorExpr):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._coeffs.items()))
+    def _fields(self) -> tuple:
+        return self._items
 
     def __str__(self) -> str:
         return _pretty_terms([(c, s) for s, c in self._coeffs.items()])
@@ -233,7 +276,7 @@ class DivisorExpr:
         return f"DivisorExpr({self})"
 
 
-class ClassExpr:
+class ClassExpr(_Record):
     """Homogeneous symbolic class of degree 0, 1 or 2.
 
     Degree-two classes may additionally carry the formal ``c2`` atom.
@@ -372,17 +415,8 @@ class ClassExpr:
         ]
         return ClassExpr(self._degree, terms, self._c2)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClassExpr):
-            return NotImplemented
-        return (
-            self._degree == other._degree
-            and self._terms == other._terms
-            and self._c2 == other._c2
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._degree, tuple(self._terms.items()), self._c2))
+    def _fields(self) -> tuple:
+        return (self._degree, tuple(self._terms.items()), self._c2)
 
     def __str__(self) -> str:
         parts = [(v, "*".join(k) if k else "") for k, v in self._terms.items()]
@@ -394,7 +428,7 @@ class ClassExpr:
         return f"ClassExpr[{self._degree}]({self})"
 
 
-class NumberExpr:
+class NumberExpr(_Record):
     """Top-degree symbolic number: cubic monomials plus formal atoms.
 
     The atoms are the pairings ``c2 . b`` against single symbols, the scalar
@@ -517,24 +551,12 @@ class NumberExpr:
             self._const,
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NumberExpr):
-            return NotImplemented
+    def _fields(self) -> tuple:
         return (
-            self._cubic == other._cubic
-            and self._pairings == other._pairings
-            and self._chi_o == other._chi_o
-            and self._const == other._const
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                tuple(self._cubic.items()),
-                tuple(self._pairings.items()),
-                self._chi_o,
-                self._const,
-            )
+            tuple(self._cubic.items()),
+            tuple(self._pairings.items()),
+            self._chi_o,
+            self._const,
         )
 
     def __str__(self) -> str:

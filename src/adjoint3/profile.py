@@ -47,6 +47,7 @@ from .core import (
     NumberExpr,
     RationalInput,
     UnknownSymbolError,
+    _Record,
     rat,
     scaled_to_integers,
 )
@@ -107,7 +108,7 @@ def _implied(kind: FlagKind) -> frozenset[FlagKind]:
 _KIND_IMPLIES = {kind: _implied(kind) for kind in _DIRECT_IMPLIES}
 
 
-class PositivityFlag:
+class PositivityFlag(_Record):
     """A trusted positivity assertion: a kind plus an optional subject.
 
     Variety-level kinds (uniruledness, irregularity, generic nefness of the
@@ -126,17 +127,6 @@ class PositivityFlag:
                 raise ValueError(f"{kind.value} is a variety-level flag")
         elif not isinstance(subject, DivisorExpr):
             raise ValueError(f"{kind.value} requires a divisor subject")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.subject) == (other.kind, other.subject)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.subject))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(kind={self.kind!r}, subject={self.subject!r})"
 
     def implies(self, kind: FlagKind) -> bool:
         return kind == self.kind or kind in _KIND_IMPLIES.get(self.kind, frozenset())
@@ -216,7 +206,7 @@ def _compile_tensor(
     return IntegerTensor(position, denominator, entries)
 
 
-class ThreefoldProfile:
+class ThreefoldProfile(_Record):
     """Finite intersection-theoretic model of a smooth projective threefold.
 
     Fields: ``basis`` (ordered symbol names), ``triple`` (the trilinear
@@ -464,7 +454,7 @@ class ThreefoldProfile:
 
     # -- structural equality ----------------------------------------------
 
-    def _key(self):
+    def _fields(self) -> tuple:
         return (
             self.basis,
             tuple(sorted(self.symmetric_triple().items())),
@@ -474,14 +464,6 @@ class ThreefoldProfile:
             self.flags,
             tuple(sorted(self.named_divisors.items())),
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ThreefoldProfile):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return (

@@ -28,6 +28,7 @@ from .core import (
     CalcError,
     DivisorExpr,
     UnknownSymbolError,
+    _signed_sum,
     format_rational,
     rat,
 )
@@ -89,22 +90,12 @@ def parse_divisor(text: str) -> DivisorExpr:
 def format_divisor(d: DivisorExpr, basis: Sequence[str] | None = None) -> str:
     """Canonical rendering: ``p/q*SYM`` terms in basis order, or ``0``."""
     coeffs = d.coefficients
-    if not coeffs:
-        return "0"
     if basis:
         order = {s: i for i, s in enumerate(basis)}
         symbols = sorted(coeffs, key=lambda s: (order.get(s, len(order)), s))
     else:
         symbols = sorted(coeffs)
-    parts: list[str] = []
-    for i, s in enumerate(symbols):
-        c = coeffs[s]
-        body = f"{format_rational(abs(c))}*{s}"
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(parts)
+    return _signed_sum((coeffs[s], f"{format_rational(abs(coeffs[s]))}*{s}") for s in symbols)
 
 
 def resolve_divisor(p: ThreefoldProfile, text: str) -> DivisorExpr:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import ClassExpr
+from .core import ClassExpr, _Record
 
 
-class QTwistedBundle:
+class QTwistedBundle(_Record):
     """Chern data of a vector bundle twisted by a rational divisor class.
 
     Instances are immutable, equal when all four fields are, and hash
@@ -34,23 +34,6 @@ class QTwistedBundle:
         if twist.degree != 1:
             raise ValueError("the twist must have degree 1")
         self.rank, self.c1, self.c2, self.twist = rank, c1, c2, twist
-
-    def _fields(self) -> tuple:
-        return (self.rank, self.c1, self.c2, self.twist)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
-        )
-        return f"{type(self).__qualname__}({fields})"
 
 
 def twist_c1(b: QTwistedBundle) -> ClassExpr:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adjoint3
 from adjoint3 import birational, bounds, catalog, cli, get, parse_profile, serialize_profile
@@ -19,6 +23,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@contextlib.contextmanager
+def all_digits():
+    """Let int() and str() convert integers of any length, as `main` does."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture
@@ -140,6 +155,18 @@ class TestValidate:
             pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "0.5"], id="eps-decimal"),
             pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", " 1/2 "], id="eps-padded"),
             pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "1e-1"], id="eps-exponent"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=1_0,deg=H:1"], id="genus-underscore"),
+            pytest.param(["blowup", "P3.json", "--curve", "g= 2,deg=H:1"], id="genus-padded"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=+1,deg=H:1"], id="genus-plus-sign"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=\u0663,deg=H:1"], id="genus-non-ascii-digit"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,g=1,deg=H:1"], id="genus-repeated"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1,deg=H:2"], id="degrees-repeated"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1;H:2"], id="degree-symbol-repeated"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=:1"], id="degree-symbol-empty"),
+            pytest.param(["bound", "P3.json", "--divisor", "H", "--rule", "miyaoka", "--ample", ""], id="miyaoka-ample-empty"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:\u0663"], id="degree-non-ascii-digit"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "\u0663"], id="eps-non-ascii-digit"),
+            pytest.param(["chi", "P3.json", "--divisor", "\u0663H"], id="divisor-non-ascii-digit"),
         ],
     )
     def test_malformed_command_line_number(self, capsys, tmp_path, monkeypatch, argv):
@@ -307,6 +334,16 @@ class TestCatalog:
 
     def test_unknown_name(self, capsys):
         code, out = run(capsys, "catalog", "P4")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "UnknownEntryError"
+
+    @pytest.mark.parametrize(
+        "name", ["hypersurface(0)", "hypersurface(007)", "hypersurface(\u0663)"]
+    )
+    def test_hypersurface_degree_outside_the_name_grammar(self, capsys, name):
+        # degree 0 once escaped as a ValueError traceback; the other two
+        # were read as hypersurface(7) and hypersurface(3)
+        code, out = run(capsys, "catalog", name)
         assert code == 2
         assert json.loads(out)["error"]["type"] == "UnknownEntryError"
 
@@ -493,3 +530,105 @@ class TestRoundTrip:
         reparsed = parse_profile(text)
         assert reparsed == profile
         assert serialize_profile(reparsed) == text
+
+
+# more digits than int() and str() convert by default: the first is too long
+# to read, the cube of the second too long to print
+_LONG, _LONG_TEXT = 10**4400, "1" + "0" * 4400
+_SHORT, _SHORT_TEXT = 10**1500, "1" + "0" * 1500
+
+
+class TestLongNumbers:
+    # each once escaped as a ValueError traceback; now read and printed in full
+    @pytest.mark.parametrize(
+        "argv, check",
+        [
+            pytest.param(
+                ["chi", "P3.json", "--divisor", f"{_LONG_TEXT}*H"],
+                lambda r: r["result"]["chi"]
+                == f"{(_LONG + 1) * (_LONG + 2) * (_LONG + 3) // 6}/1",
+                id="divisor-coefficient",
+            ),
+            pytest.param(
+                ["bound", "P3.json", "--divisor", f"{_SHORT_TEXT}*H", "--rule", "bs"],
+                lambda r: r["result"]["ceiling"] == _SHORT**3 - 2 * _SHORT**2 + 1,
+                id="bound-result",
+            ),
+            pytest.param(
+                ["blowup", "P3.json", "--curve", f"g={_LONG_TEXT},deg=H:{_LONG_TEXT}", "--symbol", "E"],
+                lambda r: r["triple"][-1]
+                == {"i": 1, "j": 1, "k": 1, "value": f"{2 - 6 * _LONG}/1"},
+                id="curve-genus-and-degree",
+            ),
+        ],
+    )
+    def test_read_and_printed_in_full(self, capsys, tmp_path, monkeypatch, argv, check):
+        monkeypatch.chdir(tmp_path)
+        Path("P3.json").write_text(serialize_profile(get("P3").profile))
+        limit = sys.get_int_max_str_digits()
+        code, out = run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == limit
+        assert code == 0
+        with all_digits():
+            assert check(json.loads(out))
+
+
+# seeds the fuzz test mutates: valid arguments, and numbers too long for int()
+_FUZZ_FILES = ("P3", "Q5", "BlP3", "BlLineP3", "Pencil5")
+_FUZZ_DIVISORS = ("H", "3H", "2*H - E", "A2", "F + 1/2*H", "K", "-K", "0", "9" * 4400 + "*H")
+_FUZZ_CURVES = ("g=0,deg=H:1", "g=1,deg=H:2;E:-1", "g=3,deg=H:1/2;E:0", "g=0,deg=H:" + "7" * 4400)
+_FUZZ_SYMBOLS = ("E", "X", "E2", "F'", "c_2")
+_FUZZ_EPS = ("1/2", "1", "3/4", "2", "1/1000")
+# no 'h', so that no argument becomes an abbreviation of --help
+_FUZZ_ALPHABET = "0123456789/+-*:;,=_ .gHEKAF'\t\u0663\u00b2"
+
+
+@st.composite
+def _mutated(draw, seeds):
+    text = draw(st.sampled_from(seeds))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:i] + draw(st.text(_FUZZ_ALPHABET, max_size=3)) + text[i + cut :]
+    return text
+
+
+@st.composite
+def _command_lines(draw, folder):
+    path = str(folder / f"{draw(st.sampled_from(_FUZZ_FILES))}.json")
+    command = draw(st.sampled_from(["chi", "bound", "certify", "blowup", "witness-bad-anticanonical"]))
+    divisor = f"--divisor={draw(_mutated(_FUZZ_DIVISORS))}"
+    if command == "chi":
+        return [command, path, divisor]
+    if command == "bound":
+        rule = draw(st.sampled_from([*bounds.BOUND_RULES, "miyaoka"]))
+        ample = draw(st.lists(_mutated(_FUZZ_DIVISORS), max_size=1))
+        return [command, path, divisor, "--rule", rule, *(f"--ample={a}" for a in ample)]
+    if command == "certify":
+        return [command, path, divisor, "--target", draw(st.sampled_from(["adjoint", "bs"]))]
+    if command == "blowup":
+        curve = draw(st.lists(_mutated(_FUZZ_CURVES), max_size=1))
+        center = [f"--curve={c}" for c in curve] or ["--point"]
+        return [command, path, *center, f"--symbol={draw(_mutated(_FUZZ_SYMBOLS))}"]
+    eps = draw(st.lists(_mutated(_FUZZ_EPS), max_size=3))
+    return [command, path, *([f"--eps={eps[0]}", *eps[1:]] if eps else [])]
+
+
+class TestCommandLineFuzz:
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("catalog")
+        for name in _FUZZ_FILES:
+            (folder / f"{name}.json").write_text(serialize_profile(get(name).profile))
+        return folder
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_arguments_end_in_one_json_report(self, folder, data):
+        argv = data.draw(_command_lines(folder))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        with all_digits():
+            json.loads(out.getvalue())

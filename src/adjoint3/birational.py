@@ -108,6 +108,9 @@ def blow_up_curve(
     _check_new_symbol(p, new_symbol)
     if not isinstance(genus, int) or genus < 0:
         raise ValueError(f"genus must be a nonnegative integer, got {genus}")
+    for s in degrees:
+        if s not in p.basis:
+            raise UnknownSymbolError(s, "curve degrees")
     deg: dict[str, Fraction] = {}
     for s in p.basis:
         if s not in degrees:
@@ -115,9 +118,6 @@ def blow_up_curve(
                 f"degree D.C missing for basis symbol '{s}'"
             )
         deg[s] = rat(degrees[s])
-    for s in degrees:
-        if s not in p.basis:
-            raise UnknownSymbolError(s, "curve degrees")
 
     e = new_symbol
     canonical_dot_curve = sum(

@@ -4,16 +4,28 @@ Profiles are stored as JSON with exact rationals rendered as ``p/q``
 strings (never floating point), the triple tensor as records
 ``{i, j, k, value}`` with sorted basis indices, and flags as
 ``{kind, subject}`` records.  Serialization is canonical: re-serializing a
-parsed file reproduces it byte for byte.  Serialization takes the triple
-records from the profile's symmetrised view and leaves the text to
-``json.dumps(..., indent=2)``.  Parsing reads each triple record in one
-pass and converts each distinct value string once, since the values of a
-triple tensor are mostly a few small numbers.
+parsed file reproduces it byte for byte.
+
+The canonical text is the layout ``json.dumps(obj, indent=2) + "\n"`` gives
+the object of the seven fields in `PROFILE_FIELDS` order, and the writer
+reproduces it without handing the whole object to json.dumps, whose
+indenting encoder is pure Python.  It writes the outer object itself and
+each field but ``triple`` as ``json.dumps(value, indent=2)`` indented one
+level.  The ``triple`` records, taken from the profile's symmetrised view
+in sorted index order, hold only integers and ``p/q`` strings, so one
+``%`` template writes each record, and each distinct value is formatted
+once.  Parsing reads each triple record in one pass and converts each
+distinct value string once, since the values of a triple tensor are
+mostly a few small numbers.  A file that is not UTF-8 text or not JSON,
+nested too deep to read included, is a `ProfileFormatError`.
 
 Divisor expressions use the grammar ``coef*SYM (+|-) ...`` with rational
 coefficients ``p/q``; whitespace is insignificant, the star is optional,
-and a bare symbol means coefficient one.  `resolve_divisor` additionally
-accepts names of stored divisors and the canonical class ``K``.
+and a bare symbol means coefficient one.  `parse_divisor` reads each
+coefficient its term pattern matched with `int`, and raises
+`DivisorParseError` for one of more digits than `int` converts.
+`resolve_divisor` additionally accepts names of stored divisors and the
+canonical class ``K``.
 """
 
 from __future__ import annotations
@@ -75,10 +87,20 @@ def parse_divisor(text: str) -> DivisorExpr:
             raise DivisorParseError(
                 f"missing '+' or '-' between terms in '{text}' at position {pos}"
             )
-        try:
-            value = rat(coef) if coef is not None else Fraction(1)
-        except ZeroDivisionError as exc:
-            raise DivisorParseError(f"zero denominator in '{text}' at position {pos}") from exc
+        if coef is None:
+            value = Fraction(1)
+        else:
+            numerator, _, denominator = coef.partition("/")
+            try:
+                value = Fraction(int(numerator), int(denominator) if denominator else 1)
+            except ZeroDivisionError as exc:
+                raise DivisorParseError(
+                    f"zero denominator in '{text}' at position {pos}"
+                ) from exc
+            except ValueError as exc:  # more digits than int() converts
+                raise DivisorParseError(
+                    f"cannot read the coefficient in '{text}' at position {pos}: {exc}"
+                ) from exc
         if sign == "-":
             value = -value
         terms.append((sym, value))
@@ -225,8 +247,8 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
         raise ProfileFormatError(str(exc)) from exc
 
 
-def _triple_records(p: ThreefoldProfile) -> list[dict]:
-    """The ``triple`` records, nonzero values in basis-index order."""
+def _triple_rows(p: ThreefoldProfile) -> list[tuple[int, int, int, Fraction]]:
+    """The nonzero ``triple`` entries as sorted index triples, in index order."""
     index = {s: i for i, s in enumerate(p.basis)}
     sym = p._sym_triple
     rows = []
@@ -240,7 +262,37 @@ def _triple_records(p: ThreefoldProfile) -> list[dict]:
                 raise UnknownSymbolError(symbol, "profile serialization") from None
             rows.append((i, j, k, value))
     rows.sort()
-    return [{"i": i, "j": j, "k": k, "value": format_rational(v)} for i, j, k, v in rows]
+    return rows
+
+
+# one ``triple`` record as json.dumps(..., indent=2) lays it out two levels deep
+_TRIPLE_RECORD = (
+    '    {\n      "i": %d,\n      "j": %d,\n      "k": %d,\n      "value": "%s"\n    }'
+)
+
+
+def _triple_text(p: ThreefoldProfile) -> str:
+    """The ``triple`` field's text: one `_TRIPLE_RECORD` per row, or ``[]``."""
+    rows = _triple_rows(p)
+    if not rows:
+        return "[]"
+    # each distinct value object formatted once; keyed by identity, since a
+    # parsed profile holds one Fraction per distinct value string, and a
+    # Fraction's hash costs more than formatting it
+    texts: dict[int, str] = {}
+    records = []
+    for i, j, k, value in rows:
+        text = texts.get(id(value))
+        if text is None:
+            text = texts[id(value)] = format_rational(value)
+        records.append(_TRIPLE_RECORD % (i, j, k, text))
+    return "[\n" + ",\n".join(records) + "\n  ]"
+
+
+def _field_text(value) -> str:
+    """``json.dumps(value, indent=2)`` one level deeper.  json.dumps escapes
+    every newline inside a string, so each newline of its text is a line break."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
 def serialize_profile(p: ThreefoldProfile) -> str:
@@ -250,31 +302,36 @@ def serialize_profile(p: ThreefoldProfile) -> str:
         (_flag_record(f, basis) for f in p.flags),
         key=lambda r: (r["kind"], r["subject"] or ""),
     )
-    obj = {
-        "basis": list(basis),
-        "canonical": format_divisor(p.canonical, basis),
-        "chi_O": format_rational(p.chi_O),
-        "c2": [format_rational(p.c2_vector.get(s, Fraction(0))) for s in basis],
-        "triple": _triple_records(p),
-        "flags": flags,
-        "named_divisors": {
-            name: format_divisor(d, basis) for name, d in sorted(p.named_divisors.items())
-        },
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    named = {name: format_divisor(d, basis) for name, d in sorted(p.named_divisors.items())}
+    fields = (
+        ("basis", _field_text(list(basis))),
+        ("canonical", _field_text(format_divisor(p.canonical, basis))),
+        ("chi_O", _field_text(format_rational(p.chi_O))),
+        ("c2", _field_text([format_rational(p.c2_vector.get(s, Fraction(0))) for s in basis])),
+        ("triple", _triple_text(p)),
+        ("flags", _field_text(flags)),
+        ("named_divisors", _field_text(named)),
+    )
+    return "{\n" + ",\n".join(f'  "{name}": {text}' for name, text in fields) + "\n}\n"
 
 
 def parse_profile(text: str) -> ThreefoldProfile:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # a ValueError: an integer of more digits than int() converts;
+    # a RecursionError: arrays or objects nested too deep to read
+    except (ValueError, RecursionError) as exc:
         raise ProfileFormatError(f"not valid JSON: {exc}") from exc
     return profile_from_dict(obj)
 
 
 def load_profile(path) -> ThreefoldProfile:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_profile(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ProfileFormatError(f"not UTF-8 text: {exc}") from exc
+    return parse_profile(text)
 
 
 def save_profile(p: ThreefoldProfile, path) -> None:

@@ -167,6 +167,11 @@ class TestCurveBlowup:
         with pytest.raises(UnknownSymbolError):
             blow_up_curve(get("P3").profile, "E", genus=0, degrees={"H": 1, "X": 2})
 
+    def test_unknown_degree_symbol_before_missing_degree(self):
+        # X once went unreported: the missing degree of H was raised first
+        with pytest.raises(UnknownSymbolError, match="'X'"):
+            blow_up_curve(get("P3").profile, "E", genus=0, degrees={"X": 1})
+
     def test_negative_genus(self):
         with pytest.raises(ValueError):
             blow_up_curve(get("P3").profile, "E", genus=-1, degrees={"H": 1})

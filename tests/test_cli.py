@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from adjoint3.cli import main
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 GOLDEN_HELP = json.loads(Path(__file__).with_name("golden_help.json").read_text())
+PARSE = "DivisorParseError"
 
 
 def run(capsys, *argv):
@@ -71,6 +73,22 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         code, out = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ProfileFormatError"
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # json.loads once raised a RecursionError traceback with exit 1
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        code, out = run(capsys, "validate", str(deep))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ProfileFormatError"
+
+    def test_bytes_that_are_not_utf8(self, capsys, tmp_path):
+        # reading the file once raised a UnicodeDecodeError traceback with exit 1
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(serialize_profile(get("P3").profile).encode().replace(b"H", b"\xff", 1))
+        code, out = run(capsys, "validate", str(binary))
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ProfileFormatError"
 
@@ -140,37 +158,39 @@ class TestValidate:
         assert json.loads(out)["error"]["type"] == "ProfileFormatError"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, error",
         [
-            pytest.param(["blowup", "P3.json", "--curve", "g=x,deg=H:1"], id="genus-not-integer"),
-            pytest.param(["blowup", "P3.json", "--curve", "g=-1,deg=H:1"], id="genus-negative"),
-            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:abc"], id="degree-not-rational"),
-            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1/0"], id="degree-zero-denominator"),
-            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "abc"], id="eps-not-rational"),
-            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "1/0"], id="eps-zero-denominator"),
-            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "0"], id="eps-zero"),
-            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps=-1/2"], id="eps-negative"),
-            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1.5"], id="degree-decimal"),
-            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1e2"], id="degree-exponent"),
-            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "0.5"], id="eps-decimal"),
-            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", " 1/2 "], id="eps-padded"),
-            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "1e-1"], id="eps-exponent"),
-            pytest.param(["blowup", "P3.json", "--curve", "g=1_0,deg=H:1"], id="genus-underscore"),
-            pytest.param(["blowup", "P3.json", "--curve", "g= 2,deg=H:1"], id="genus-padded"),
-            pytest.param(["blowup", "P3.json", "--curve", "g=+1,deg=H:1"], id="genus-plus-sign"),
-            pytest.param(["blowup", "P3.json", "--curve", "g=\u0663,deg=H:1"], id="genus-non-ascii-digit"),
-            pytest.param(["blowup", "P3.json", "--curve", "g=0,g=1,deg=H:1"], id="genus-repeated"),
-            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1,deg=H:2"], id="degrees-repeated"),
-            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1;H:2"], id="degree-symbol-repeated"),
-            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=:1"], id="degree-symbol-empty"),
-            pytest.param(["bound", "P3.json", "--divisor", "H", "--rule", "miyaoka", "--ample", ""], id="miyaoka-ample-empty"),
-            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:\u0663"], id="degree-non-ascii-digit"),
-            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "\u0663"], id="eps-non-ascii-digit"),
-            pytest.param(["chi", "P3.json", "--divisor", "\u0663H"], id="divisor-non-ascii-digit"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=x,deg=H:1"], PARSE, id="genus-not-integer"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=-1,deg=H:1"], PARSE, id="genus-negative"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:abc"], PARSE, id="degree-not-rational"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1/0"], PARSE, id="degree-zero-denominator"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "abc"], PARSE, id="eps-not-rational"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "1/0"], PARSE, id="eps-zero-denominator"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "0"], PARSE, id="eps-zero"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps=-1/2"], PARSE, id="eps-negative"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1.5"], PARSE, id="degree-decimal"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1e2"], PARSE, id="degree-exponent"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "0.5"], PARSE, id="eps-decimal"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", " 1/2 "], PARSE, id="eps-padded"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "1e-1"], PARSE, id="eps-exponent"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=1_0,deg=H:1"], PARSE, id="genus-underscore"),
+            pytest.param(["blowup", "P3.json", "--curve", "g= 2,deg=H:1"], PARSE, id="genus-padded"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=+1,deg=H:1"], PARSE, id="genus-plus-sign"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=\u0663,deg=H:1"], PARSE, id="genus-non-ascii-digit"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,g=1,deg=H:1"], PARSE, id="genus-repeated"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1,deg=H:2"], PARSE, id="degrees-repeated"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1;H:2"], PARSE, id="degree-symbol-repeated"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=:1"], PARSE, id="degree-symbol-empty"),
+            pytest.param(["bound", "P3.json", "--divisor", "H", "--rule", "miyaoka", "--ample", ""], PARSE, id="miyaoka-ample-empty"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:\u0663"], PARSE, id="degree-non-ascii-digit"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "\u0663"], PARSE, id="eps-non-ascii-digit"),
+            pytest.param(["chi", "P3.json", "--divisor", "\u0663H"], PARSE, id="divisor-non-ascii-digit"),
+            pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=X:1"], "UnknownSymbolError", id="degree-unknown-symbol"),
         ],
     )
-    def test_malformed_command_line_number(self, capsys, tmp_path, monkeypatch, argv):
-        # each once escaped as a traceback with exit 1, or (eps <= 0) was scanned
+    def test_malformed_command_line_number(self, capsys, tmp_path, monkeypatch, argv, error):
+        # each once escaped as a traceback with exit 1, or (eps <= 0) was scanned,
+        # or (an unknown degree symbol) was reported as a missing degree with exit 1
         monkeypatch.chdir(tmp_path)
         for name in ("P3", "Pencil5"):
             Path(f"{name}.json").write_text(serialize_profile(get(name).profile))
@@ -178,7 +198,7 @@ class TestValidate:
         assert code == 2
         report = json.loads(out)
         assert report["command"] == argv[0]
-        assert report["error"]["type"] == "DivisorParseError"
+        assert report["error"]["type"] == error
 
 
 class TestUsageErrors:
@@ -629,6 +649,74 @@ class TestCommandLineFuzz:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
+        assert code in (0, 1, 2)
+        with all_digits():
+            json.loads(out.getvalue())
+
+
+# values a profile field or record entry may be replaced by: each JSON type,
+# indices out of range, and numbers too long for int() outside `main`
+_FUZZ_VALUES = (
+    None, True, False, 0, -1, 2, 7, 10**30, 10**4400, 0.5, 1e400, "", "H", "2*H - E", "1/0",
+    "0/1", "1.5", "٣", "Ample", "Uniruled", "1" * 5000 + "/1", "1/" + "3" * 5000,
+    "9" * 5000 + "*H", [], {}, ["H", "H"], {"i": 0, "j": 0, "k": 0, "value": "1/1"},
+)
+_DEEP = "DEEP-NESTING"  # a string the text mutation replaces by nested arrays
+
+
+def _paths(node, at=()):
+    """Every position in a JSON tree: the root, each key and each element."""
+    yield at
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, (*at, key))
+
+
+@st.composite
+def _mutated_profile_bytes(draw):
+    obj = json.loads(serialize_profile(get(draw(st.sampled_from(_FUZZ_FILES))).profile))
+    for _ in range(draw(st.integers(1, 3))):
+        *parent_path, key = draw(st.sampled_from([p for p in _paths(obj) if p]))
+        parent = obj
+        for step in parent_path:
+            parent = parent[step]
+        operation = draw(st.sampled_from(["replace", "replace", "delete", "duplicate", "nest"]))
+        if operation == "replace":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_FUZZ_VALUES)))
+        elif operation == "delete":
+            del parent[key]
+        elif operation == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = _DEEP
+    depth = draw(st.sampled_from((3, 500, 990, 100_000)))
+    with all_digits():
+        text = json.dumps(obj, indent=draw(st.sampled_from((None, 2))))
+    data = text.replace(json.dumps(_DEEP), "[" * depth + "]" * depth).encode()
+    if draw(st.booleans()):  # bytes that are not UTF-8, or a cut file
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80", b""))) + data[at + 1 :]
+    return data
+
+
+class TestProfileFileFuzz:
+    _COMMANDS = (
+        ["validate"],
+        ["chi", "--divisor", "H"],
+        ["bound", "--divisor", "H", "--rule", "bs"],
+        ["certify", "--divisor", "H", "--target", "adjoint"],
+        ["blowup", "--point", "--symbol", "Z"],
+    )
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_mutated_files_end_in_one_json_document(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_bytes(data.draw(_mutated_profile_bytes()))
+        command, *options = data.draw(st.sampled_from(self._COMMANDS))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(path), *options])
         assert code in (0, 1, 2)
         with all_digits():
             json.loads(out.getvalue())

@@ -21,11 +21,11 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import CalcError, DivisorExpr, format_rational, rat
+from .core import CalcError, DivisorExpr, MalformedInputError, format_rational, rat
 from .profile import FlagKind, ThreefoldProfile, flag
 
 
-class UnknownEntryError(CalcError):
+class UnknownEntryError(MalformedInputError):
     """The catalog has no entry of the requested name."""
 
 

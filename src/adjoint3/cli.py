@@ -1,11 +1,12 @@
 """Command-line front end: profile file I/O, batch evaluation, JSON reports.
 
 Every command prints a single deterministic JSON report (for several input
-files, a JSON array of reports in input order).  Exit codes: 0 on success,
-1 on validation or hypothesis-contradiction errors, 2 on malformed input,
-a command line argparse rejects (a ``UsageError``) included.  The two commands
-that produce profiles (``catalog`` and ``blowup``) write a profile file
-instead, either to ``--output`` or to standard output.
+files, a JSON array of reports in input order; a calculator error in one
+file is that file's report).  Exit codes: 0 on success, 2 on malformed
+input (a `core.MalformedInputError`, an `OSError`, or a ``UsageError``:
+a command line argparse rejects), 1 on any other calculator error.  The
+two commands that produce profiles (``catalog`` and ``blowup``) write a
+profile file instead, either to ``--output`` or to standard output.
 """
 
 from __future__ import annotations
@@ -18,19 +19,14 @@ from fractions import Fraction
 
 # A command imports the modules that evaluate it in its `_cmd_*` function, so
 # a cold command compiles only what it runs.  The top level holds what the
-# parser, the error table and the shared profile file handling need.
+# parser, the error reports and the shared profile file handling need.
 from . import catalog as catalog_mod
 from .bounds import BOUND_RULES
-from .core import CalcError, UnknownSymbolError, format_rational, rat
-from .profile import (
-    FlagContradictionError,
-    MissingFlagError,
-    NonIntegerChiError,
-    ThreefoldProfile,
-)
+from .core import CalcError, MalformedInputError, format_rational, rat
+from .profile import ThreefoldProfile
 from .profile_io import (
     DivisorParseError,
-    ProfileFormatError,
+    _flag_record,
     format_divisor,
     load_profile,
     resolve_divisor,
@@ -41,23 +37,10 @@ EXIT_OK = 0
 EXIT_OPERATION = 1
 EXIT_MALFORMED = 2
 
-# exit code of each error a single input file can raise; the batch goes on
-_FILE_ERRORS = {
-    ProfileFormatError: EXIT_MALFORMED,
-    DivisorParseError: EXIT_MALFORMED,
-    UnknownSymbolError: EXIT_MALFORMED,
-    catalog_mod.UnknownEntryError: EXIT_MALFORMED,
-    MissingFlagError: EXIT_OPERATION,
-    FlagContradictionError: EXIT_OPERATION,
-    NonIntegerChiError: EXIT_OPERATION,
-    catalog_mod.WitnessNotFoundError: EXIT_OPERATION,
-}
-# errors that end the whole command; the first matching class wins
-_COMMAND_ERRORS = {**_FILE_ERRORS, OSError: EXIT_MALFORMED, CalcError: EXIT_OPERATION}
 
-
-def _error_report(command: str, exc: Exception, errors: dict, **fields) -> tuple[dict, int]:
-    code = next(code for cls, code in errors.items() if isinstance(exc, cls))
+def _error_report(command: str, exc: Exception, **fields) -> tuple[dict, int]:
+    malformed = isinstance(exc, (MalformedInputError, OSError))
+    code = EXIT_MALFORMED if malformed else EXIT_OPERATION
     error = {"type": type(exc).__name__, "message": str(exc)}
     return {"command": command, **fields, "error": error}, code
 
@@ -79,13 +62,7 @@ def _certificate_record(cert, basis) -> dict:
         if cert.rational_bound is None
         else format_rational(cert.rational_bound),
         "integer_bound": cert.integer_bound,
-        "hypotheses_used": [
-            {
-                "kind": f.kind.value,
-                "subject": None if f.subject is None else format_divisor(f.subject, basis),
-            }
-            for f in cert.hypotheses_used
-        ],
+        "hypotheses_used": [_flag_record(f, basis) for f in cert.hypotheses_used],
         "citations": list(cert.citations),
     }
 
@@ -112,8 +89,8 @@ def _run_per_file(args, evaluate, **options) -> int:
             else:
                 report.update(evaluate(profile, inputs))
             reports.append((report, EXIT_OPERATION if violations else EXIT_OK))
-        except tuple(_FILE_ERRORS) as exc:
-            reports.append(_error_report(args.command, exc, _FILE_ERRORS, inputs={"file": path}))
+        except CalcError as exc:
+            reports.append(_error_report(args.command, exc, inputs={"file": path}))
     if len(reports) == 1:
         body = reports[0][0]
     else:
@@ -394,8 +371,8 @@ def main(argv=None) -> int:
         error = {"type": "UsageError", "message": str(exc)}
         print(json.dumps({"command": command, "error": error}, indent=2))
         return EXIT_MALFORMED
-    except tuple(_COMMAND_ERRORS) as exc:
-        report, code = _error_report(args.command, exc, _COMMAND_ERRORS)
+    except (CalcError, OSError) as exc:
+        report, code = _error_report(args.command, exc)
         print(json.dumps(report, indent=2))
         return code
     finally:

@@ -28,6 +28,11 @@ immutable value type (the three expressions here, `PositivityFlag`,
 the tuple its `_fields` returns.  An expression's tuple holds its terms as
 item tuples in dict order, which is exact only because `_canonical` sorts
 every key: equal expressions list equal items in the same order.
+`_Linear`, the base of the three expressions, adds ``zero()``, ``-``,
+negation and the scalar on the left to each type's own ``+`` and ``*``.
+
+`CalcError` is the base of every calculator error, and `MalformedInputError`
+of those the command line reports with exit code 2 rather than 1.
 
 Symbol names are non-empty strings.  By convention the name ``K`` denotes
 the canonical class in profile-independent identities; `identity_check`
@@ -61,7 +66,12 @@ class CalcError(Exception):
     """Base class for all calculator errors."""
 
 
-class UnknownSymbolError(CalcError):
+class MalformedInputError(CalcError):
+    """Input from outside the program that does not follow its grammar or
+    names something that does not exist."""
+
+
+class UnknownSymbolError(MalformedInputError):
     """A divisor symbol is not part of the profile basis."""
 
     def __init__(self, symbol: str, where: str = ""):
@@ -199,7 +209,29 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-class DivisorExpr(_Record):
+class _Linear(_Record):
+    """The operations of a rational vector space that follow from ``+`` and
+    scalar ``*``, which each expression type writes for itself."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self * -1
+
+    def __rmul__(self, other):
+        return self * other
+
+
+class DivisorExpr(_Linear):
     """Formal rational linear combination of divisor symbols.
 
     Kept in canonical sparse form (zero coefficients dropped, symbols
@@ -218,10 +250,6 @@ class DivisorExpr(_Record):
     @classmethod
     def symbol(cls, name: str, coeff: RationalInput = 1) -> "DivisorExpr":
         return cls(((name, coeff),))
-
-    @classmethod
-    def zero(cls) -> "DivisorExpr":
-        return cls()
 
     @property
     def coefficients(self) -> Mapping[str, Fraction]:
@@ -247,14 +275,6 @@ class DivisorExpr(_Record):
             return NotImplemented
         return DivisorExpr((*self._coeffs.items(), *other._coeffs.items()))
 
-    def __sub__(self, other: "DivisorExpr") -> "DivisorExpr":
-        if not isinstance(other, DivisorExpr):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "DivisorExpr":
-        return self * -1
-
     def __mul__(self, scalar: RationalInput) -> "DivisorExpr":
         if isinstance(scalar, DivisorExpr):
             raise TypeError(
@@ -263,8 +283,6 @@ class DivisorExpr(_Record):
             )
         q = rat(scalar)
         return DivisorExpr({s: c * q for s, c in self._coeffs.items()})
-
-    __rmul__ = __mul__
 
     def _fields(self) -> tuple:
         return self._items
@@ -276,7 +294,7 @@ class DivisorExpr(_Record):
         return f"DivisorExpr({self})"
 
 
-class ClassExpr(_Record):
+class ClassExpr(_Linear):
     """Homogeneous symbolic class of degree 0, 1 or 2.
 
     Degree-two classes may additionally carry the formal ``c2`` atom.
@@ -357,14 +375,6 @@ class ClassExpr(_Record):
             self._c2 + other._c2,
         )
 
-    def __sub__(self, other: "ClassExpr") -> "ClassExpr":
-        if not isinstance(other, ClassExpr):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "ClassExpr":
-        return self * -1
-
     def __mul__(self, other):
         if isinstance(other, ClassExpr):
             return self._mul_class(other)
@@ -374,9 +384,6 @@ class ClassExpr(_Record):
         return ClassExpr(
             self._degree, {k: v * q for k, v in self._terms.items()}, self._c2 * q
         )
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def _mul_class(self, other: "ClassExpr"):
         if self._degree == 0:
@@ -428,7 +435,7 @@ class ClassExpr(_Record):
         return f"ClassExpr[{self._degree}]({self})"
 
 
-class NumberExpr(_Record):
+class NumberExpr(_Linear):
     """Top-degree symbolic number: cubic monomials plus formal atoms.
 
     The atoms are the pairings ``c2 . b`` against single symbols, the scalar
@@ -449,10 +456,6 @@ class NumberExpr(_Record):
         self._pairings = _canonical(c2_pairings)
         self._chi_o = rat(chi_o_coeff)
         self._const = rat(constant)
-
-    @classmethod
-    def zero(cls) -> "NumberExpr":
-        return cls()
 
     @classmethod
     def chi_o_atom(cls, coeff: RationalInput = 1) -> "NumberExpr":
@@ -501,14 +504,6 @@ class NumberExpr(_Record):
             self._const + other._const,
         )
 
-    def __sub__(self, other: "NumberExpr") -> "NumberExpr":
-        if not isinstance(other, NumberExpr):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "NumberExpr":
-        return self * -1
-
     def __mul__(self, scalar):
         if isinstance(scalar, (ClassExpr, NumberExpr, DivisorExpr)):
             raise TypeError("a NumberExpr has top degree; multiply by scalars only")
@@ -519,8 +514,6 @@ class NumberExpr(_Record):
             self._chi_o * q,
             self._const * q,
         )
-
-    __rmul__ = __mul__
 
     def fold_canonical_c2(self) -> "NumberExpr":
         """Rewrite the pairing ``c2 . K`` as ``-24 * chi_O``.

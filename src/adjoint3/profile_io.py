@@ -37,8 +37,8 @@ from typing import Sequence
 
 from .core import (
     _UNSIGNED_RATIONAL,
-    CalcError,
     DivisorExpr,
+    MalformedInputError,
     UnknownSymbolError,
     _signed_sum,
     format_rational,
@@ -49,11 +49,11 @@ from .profile import _SYMBOL, FlagKind, PositivityFlag, ThreefoldProfile, _is_sy
 PROFILE_FIELDS = ("basis", "canonical", "chi_O", "c2", "triple", "flags", "named_divisors")
 
 
-class ProfileFormatError(CalcError):
+class ProfileFormatError(MalformedInputError):
     """A profile file does not follow the documented JSON layout."""
 
 
-class DivisorParseError(CalcError):
+class DivisorParseError(MalformedInputError):
     """A divisor expression does not follow the grammar."""
 
 
@@ -73,7 +73,6 @@ def parse_divisor(text: str) -> DivisorExpr:
         return DivisorExpr.zero()
     terms: list[tuple[str, Fraction]] = []
     pos = 0
-    first = True
     while pos < len(compact):
         m = _TERM_RE.match(compact, pos)
         if m is None or m.end() == pos:
@@ -82,10 +81,6 @@ def parse_divisor(text: str) -> DivisorExpr:
         if sym is None:
             raise DivisorParseError(
                 f"term without a symbol in '{text}' at position {pos}"
-            )
-        if not first and sign is None:
-            raise DivisorParseError(
-                f"missing '+' or '-' between terms in '{text}' at position {pos}"
             )
         if coef is None:
             value = Fraction(1)
@@ -105,7 +100,6 @@ def parse_divisor(text: str) -> DivisorExpr:
             value = -value
         terms.append((sym, value))
         pos = m.end()
-        first = False
     return DivisorExpr(terms)
 
 

@@ -1,8 +1,10 @@
 import contextlib
 import copy
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -496,6 +498,87 @@ class TestDeterminismAndBatch:
         reports = json.loads(out)
         assert reports[0]["result"]["valid"] is True
         assert reports[1]["result"]["valid"] is False
+
+    def test_any_calculator_error_is_one_file_report(self, capsys, tmp_path, monkeypatch):
+        from adjoint3 import riemann_roch
+
+        files = []
+        for name in ("a", "b"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(serialize_profile(get("P3").profile), encoding="utf-8")
+            files.append(str(path))
+        real, calls = riemann_roch.chi_line_bundle, []
+
+        def first_call_fails(profile, divisor):
+            calls.append(divisor)
+            if len(calls) == 1:
+                raise birational.SymbolCollisionError("raised for the first file")
+            return real(profile, divisor)
+
+        monkeypatch.setattr(riemann_roch, "chi_line_bundle", first_call_fails)
+        code, out = run(capsys, "chi", *files, "--divisor", "H")
+        assert code == 1
+        first, second = json.loads(out)
+        assert first == {
+            "command": "chi",
+            "inputs": {"file": files[0]},
+            "error": {"type": "SymbolCollisionError", "message": "raised for the first file"},
+        }
+        assert second["inputs"]["file"] == files[1]
+        assert second["result"]["chi"] == "4/1"
+
+
+def _calculator_error_classes():
+    """Every `CalcError` subclass the package's modules define."""
+    for info in pkgutil.iter_modules(adjoint3.__path__):
+        importlib.import_module(f"adjoint3.{info.name}")
+    found, todo = set(), [adjoint3.CalcError]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("adjoint3.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+# the exit code of each calculator error; a new error class must be added here
+_ERROR_EXIT = {
+    "UnknownSymbolError": 2,
+    "ProfileFormatError": 2,
+    "DivisorParseError": 2,
+    "UnknownEntryError": 2,
+    "MissingFlagError": 1,
+    "FlagContradictionError": 1,
+    "NonIntegerChiError": 1,
+    "WitnessNotFoundError": 1,
+    "SymbolCollisionError": 1,
+    "MissingCurveDegreeError": 1,
+    "DegreeOverflowError": 1,
+    "DoubleC2AtomError": 1,
+}
+
+
+def test_exit_code_comes_from_the_error_class(capsys, p3_file, monkeypatch):
+    from adjoint3 import riemann_roch
+    from adjoint3.core import MalformedInputError
+
+    classes = _calculator_error_classes() - {MalformedInputError}
+    assert {cls.__name__ for cls in classes} == set(_ERROR_EXIT)
+    malformed = {cls.__name__ for cls in classes if issubclass(cls, MalformedInputError)}
+    assert malformed == {name for name, code in _ERROR_EXIT.items() if code == 2}
+    for cls in sorted(classes, key=lambda c: c.__name__):
+        # built without its own __init__, whose arguments differ per class
+        error = cls.__new__(cls, "injected")
+
+        def fails(profile, divisor, error=error):
+            raise error
+
+        monkeypatch.setattr(riemann_roch, "chi_line_bundle", fails)
+        code, out = run(capsys, "chi", p3_file, "--divisor", "H")
+        assert (code, json.loads(out)["error"]) == (
+            _ERROR_EXIT[cls.__name__],
+            {"type": cls.__name__, "message": "injected"},
+        )
 
 
 class TestPinnedOutput:

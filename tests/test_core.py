@@ -117,6 +117,8 @@ class TestClassExpr:
     def test_mixed_degree_addition_rejected(self):
         with pytest.raises(ValueError):
             ClassExpr.symbol("H") + ClassExpr.c2_atom()
+        with pytest.raises(TypeError):
+            DivisorExpr.symbol("H") - ClassExpr.symbol("H")
 
     def test_product_of_divisor_classes(self):
         k, a = ClassExpr.symbol("K"), ClassExpr.symbol("A")
@@ -155,6 +157,15 @@ class TestClassExpr:
         assert expand_product([ClassExpr.scalar(3), d]) == 3 * d
         top = expand_product([d, d, d, ClassExpr.scalar(2)])
         assert top == 2 * expand_product([d, d, d])
+        e, q = ClassExpr.symbol("E"), Fraction(-3, 2)
+        for x, y in [
+            (ClassExpr.scalar(3), ClassExpr.scalar(Fraction(1, 2))),
+            (d, 2 * d + e),
+            (d * e, d * d),
+            (d * e + ClassExpr.c2_atom(5), ClassExpr.c2_atom(Fraction(1, 3)) - d * d),
+        ]:
+            assert x - y == x + (-1) * y
+            assert q * x == x * q and 2 * x == x * 2
 
     @given(st.permutations([0, 1, 2]), st.integers(0, 10**9))
     def test_expand_product_is_symmetric(self, perm, seed):
@@ -196,6 +207,9 @@ class TestNumberExpr:
         assert doubled.cubic_terms[("A", "A", "K")] == 4
         assert doubled.chi_o_coeff == 6 and doubled.constant == -2
         assert (n - n).is_zero()
+        m = NumberExpr({("A", "K", "K"): 1}, {"K": -2}, constant=Fraction(1, 3))
+        assert n - m == n + (-1) * m
+        assert Fraction(-3, 2) * n == n * Fraction(-3, 2)
 
     def test_empty_pairing_symbol_rejected(self):
         # pairings and divisors share one key rule

@@ -21,8 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .core import CalcError, ClassExpr, DivisorExpr, RationalInput, UnknownSymbolError, rat
+from .core import CalcError, DivisorExpr, RationalInput, UnknownSymbolError, rat
 from .profile import _SYMBOL, VARIETY_LEVEL_KINDS, ThreefoldProfile, _is_symbol
+from .profile_io import DivisorParseError
 
 
 class SymbolCollisionError(CalcError):
@@ -66,7 +67,9 @@ def _blown_up(p: ThreefoldProfile, e: str, triple, c2, canonical) -> ThreefoldPr
 def _check_new_symbol(p: ThreefoldProfile, new_symbol: str) -> None:
     # a profile file names its symbols in the divisor grammar
     if not _is_symbol(new_symbol):
-        raise ValueError(f"exceptional symbol {new_symbol!r} does not match {_SYMBOL}")
+        raise DivisorParseError(
+            f"exceptional symbol {new_symbol!r} does not match {_SYMBOL}"
+        )
     if new_symbol in p.basis:
         raise SymbolCollisionError(
             f"symbol '{new_symbol}' already belongs to the basis"
@@ -164,18 +167,12 @@ def blowdown_invariance_check(
     identically because K+2A is a pull-back and pull-backs annihilate E.
     Returns the two comparisons (contract: both True).
     """
-    from .bounds import fukuma_gap_cubic, fukuma_ka_class
+    from .bounds import _evaluate, fukuma_gap_cubic, fukuma_ka_class
 
     if m.center is not None:
         raise ValueError("the invariance check is defined for point blow-ups")
     a_source = pull_back(m, A_target) - DivisorExpr.symbol(m.exceptional)
-
-    def forms(profile: ThreefoldProfile, a: DivisorExpr) -> tuple[Fraction, Fraction]:
-        k, a = ClassExpr.from_divisor(profile.canonical), ClassExpr.from_divisor(a)
-        first = profile.number_eval(fukuma_ka_class(k, a))
-        second = profile.number_eval(fukuma_gap_cubic(k, a))
-        return first, second
-
-    s1, s2 = forms(m.source, a_source)
-    t1, t2 = forms(m.target, A_target)
-    return (s1 == t1, s2 == t2)
+    return tuple(
+        _evaluate(form, m.source, a_source) == _evaluate(form, m.target, A_target)
+        for form in (fukuma_ka_class, fukuma_gap_cubic)
+    )

@@ -46,9 +46,10 @@ class Certificate(_Record):
     """Outcome of a non-vanishing certification.
 
     ``integer_bound`` is always the exact ceiling of ``rational_bound``
-    (no flooring at zero), and a NonVanishing conclusion carries a strictly
-    positive bound unless the trivializing Fano route fired.  Instances are
-    immutable, equal when all six fields are, and hash accordingly.
+    (no flooring at zero), and is filled in when it is omitted.  A
+    NonVanishing conclusion carries a strictly positive bound unless the
+    trivializing Fano route fired.  Instances are immutable, equal when all
+    six fields are, and hash accordingly.
     """
 
     __slots__ = (
@@ -70,8 +71,10 @@ class Certificate(_Record):
         citations: tuple[str, ...] = (),
     ):
         if rational_bound is not None:
-            if integer_bound != math.ceil(rational_bound):
+            ceiling = math.ceil(rational_bound)
+            if integer_bound not in (None, ceiling):
                 raise ValueError("integer_bound must be ceil(rational_bound)")
+            integer_bound = ceiling
         elif integer_bound is not None:
             raise ValueError("integer_bound requires rational_bound")
         if conclusion is Conclusion.NON_VANISHING and route != ROUTE_FANO_TRIVIAL:
@@ -83,17 +86,6 @@ class Certificate(_Record):
         self.integer_bound = integer_bound
         self.hypotheses_used = hypotheses_used
         self.citations = citations
-
-
-def _certificate(
-    conclusion: Conclusion,
-    route: str,
-    bound: Fraction | None = None,
-    hypotheses: tuple[PositivityFlag, ...] = (),
-    citations: tuple[str, ...] = (),
-) -> Certificate:
-    integer = math.ceil(bound) if bound is not None else None
-    return Certificate(conclusion, route, bound, integer, hypotheses, citations)
 
 
 class PairingTest(NamedTuple):
@@ -126,8 +118,9 @@ def generic_nef_pairing_test(
 #
 # Each formula is written once, as a symbolic function of the degree-one
 # classes K (canonical) and A.  The identity suite proves these objects on
-# the symbols K and A, the blow-down check reads its cubics from them, and
-# the profile bounds below evaluate them on the profile's classes.
+# the symbols K and A.  The profile bounds below, Miyaoka's inequality and
+# the blow-down check evaluate them on a profile's classes through
+# `_evaluate`, the one place that lifts a profile's divisors into the ring.
 
 
 def miyaoka_correction(K: ClassExpr, A: ClassExpr) -> ClassExpr:
@@ -163,9 +156,10 @@ def bs_class(K: ClassExpr, A: ClassExpr) -> NumberExpr:
     return Fraction(1, 2) * expand_product([K + 2 * A, A, A]) + NumberExpr.chi_o_atom()
 
 
-def _evaluate(form, p: ThreefoldProfile, A: DivisorExpr) -> Fraction:
+def _evaluate(form, p: ThreefoldProfile, *divisors: DivisorExpr) -> Fraction:
+    """``form`` at K = ``p.canonical`` and ``divisors``, evaluated on ``p``."""
     lift = ClassExpr.from_divisor
-    return p.number_eval(form(lift(p.canonical), lift(A)))
+    return p.number_eval(form(lift(p.canonical), *map(lift, divisors)))
 
 
 def miyaoka_c2_inequality(
@@ -178,9 +172,7 @@ def miyaoka_c2_inequality(
     ``hypotheses_met`` reports whether the declared flags cover that.
     """
     lhs = p.c2_pair(H)
-    lift = ClassExpr.from_divisor
-    correction = miyaoka_correction(lift(p.canonical), lift(A))
-    rhs = -p.number_eval(expand_product([lift(H), correction]))
+    rhs = -_evaluate(lambda K, A, H: expand_product([H, miyaoka_correction(K, A)]), p, A, H)
     met = (
         _not_uniruled_witness(p) is not None
         and p.satisfies(FlagKind.NEF, A)
@@ -258,25 +250,27 @@ def certify_h0_adjoint(p: ThreefoldProfile, A: DivisorExpr) -> Certificate:
     if witness is not None:
         bound = bound_fukuma_ka(p, A)
         conclusion = Conclusion.NON_VANISHING if bound > 0 else Conclusion.INCONCLUSIVE
-        return _certificate(conclusion, ROUTE_NOT_UNIRULED, bound, (ample, witness))
+        return Certificate(
+            conclusion, ROUTE_NOT_UNIRULED, bound, hypotheses_used=(ample, witness)
+        )
 
     ka = K + A
     nef_ka = p.find_flag(FlagKind.NEF, ka)
     if nef_ka is not None and not p.satisfies(FlagKind.BIG, ka):
-        return _certificate(
+        return Certificate(
             Conclusion.NON_VANISHING_EXTERNAL,
             ROUTE_NEF_NOT_BIG,
-            hypotheses=(ample, nef_ka),
+            hypotheses_used=(ample, nef_ka),
             citations=(KA00_THM31,),
         )
 
     uniruled = p.find_flag(FlagKind.UNIRULED)
     irregularity_zero = p.find_flag(FlagKind.IRREGULARITY_ZERO)
     if uniruled is not None and irregularity_zero is None:
-        return _certificate(
+        return Certificate(
             Conclusion.NON_VANISHING_EXTERNAL,
             ROUTE_POSITIVE_IRREGULARITY,
-            hypotheses=(ample, uniruled),
+            hypotheses_used=(ample, uniruled),
             citations=(CH02_THM42,),
         )
 
@@ -292,14 +286,14 @@ def certify_h0_adjoint(p: ThreefoldProfile, A: DivisorExpr) -> Certificate:
                 f"-K is declared generically nef but -K.(K+A)^2 = {limit} < 0"
             )
         bound = bound_nefbig(p, A)
-        return _certificate(
+        return Certificate(
             Conclusion.NON_VANISHING,
             ROUTE_ANTICANONICAL,
             bound,
-            (ample, anti, nef_big, irregularity_zero),
+            hypotheses_used=(ample, anti, nef_big, irregularity_zero),
         )
 
-    return _certificate(Conclusion.INCONCLUSIVE, ROUTE_NONE)
+    return Certificate(Conclusion.INCONCLUSIVE, ROUTE_NONE)
 
 
 def certify_h0_bs(p: ThreefoldProfile, A: DivisorExpr) -> Certificate:
@@ -319,10 +313,10 @@ def certify_h0_bs(p: ThreefoldProfile, A: DivisorExpr) -> Certificate:
 
     trivial = p.find_flag(FlagKind.NUMERICALLY_TRIVIAL, k2a)
     if trivial is not None:
-        return _certificate(
+        return Certificate(
             Conclusion.NON_VANISHING,
             ROUTE_FANO_TRIVIAL,
-            hypotheses=(ample, trivial),
+            hypotheses_used=(ample, trivial),
             citations=(FANO_TRIVIAL,),
         )
 
@@ -330,17 +324,17 @@ def certify_h0_bs(p: ThreefoldProfile, A: DivisorExpr) -> Certificate:
     if witness is not None:
         bound = bound_fukuma_ka(p, A) + bound_fukuma_gap(p, A)
         conclusion = Conclusion.NON_VANISHING if bound > 0 else Conclusion.INCONCLUSIVE
-        return _certificate(
-            conclusion, ROUTE_NOT_UNIRULED, bound, (ample, nef, witness)
+        return Certificate(
+            conclusion, ROUTE_NOT_UNIRULED, bound, hypotheses_used=(ample, nef, witness)
         )
 
     uniruled = p.find_flag(FlagKind.UNIRULED)
     irregularity_zero = p.find_flag(FlagKind.IRREGULARITY_ZERO)
     if uniruled is not None and irregularity_zero is None:
-        return _certificate(
+        return Certificate(
             Conclusion.NON_VANISHING_EXTERNAL,
             ROUTE_POSITIVE_IRREGULARITY,
-            hypotheses=(ample, nef, uniruled),
+            hypotheses_used=(ample, nef, uniruled),
             citations=(CH02_THM42,),
         )
 
@@ -353,12 +347,12 @@ def certify_h0_bs(p: ThreefoldProfile, A: DivisorExpr) -> Certificate:
             )
         _require_chi_O_positive(p, ROUTE_BS_CHI)
         bound = bound_bs(p, A)
-        return _certificate(
+        return Certificate(
             Conclusion.NON_VANISHING,
             ROUTE_BS_CHI,
             bound,
-            (ample, nef, uniruled, irregularity_zero),
+            hypotheses_used=(ample, nef, uniruled, irregularity_zero),
             citations=(BASEPOINTFREE,),
         )
 
-    return _certificate(Conclusion.INCONCLUSIVE, ROUTE_NONE)
+    return Certificate(Conclusion.INCONCLUSIVE, ROUTE_NONE)

@@ -2,11 +2,12 @@
 
 Every command prints a single deterministic JSON report (for several input
 files, a JSON array of reports in input order; a calculator error in one
-file is that file's report).  Exit codes: 0 on success, 2 on malformed
-input (a `core.MalformedInputError`, an `OSError`, or a ``UsageError``:
-a command line argparse rejects), 1 on any other calculator error.  The
-two commands that produce profiles (``catalog`` and ``blowup``) write a
-profile file instead, either to ``--output`` or to standard output.
+file, or a file that cannot be read, is that file's report).  Exit codes:
+0 on success, 2 on malformed input (a `core.MalformedInputError`, an
+`OSError`, or a ``UsageError``: a command line argparse rejects), 1 on any
+other calculator error.  The two commands that produce profiles
+(``catalog`` and ``blowup``) write a profile file instead, either to
+``--output`` or to standard output.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _run_per_file(args, evaluate, **options) -> int:
             else:
                 report.update(evaluate(profile, inputs))
             reports.append((report, EXIT_OPERATION if violations else EXIT_OK))
-        except CalcError as exc:
+        except (CalcError, OSError) as exc:
             reports.append(_error_report(args.command, exc, inputs={"file": path}))
     if len(reports) == 1:
         body = reports[0][0]
@@ -222,17 +223,13 @@ def _write_profile(args, inputs: dict, profile: ThreefoldProfile, result: dict) 
 
 
 def _cmd_blowup(args) -> int:
-    from .birational import _check_new_symbol, blow_up_curve, blow_up_point
+    from .birational import blow_up_curve, blow_up_point
 
     inputs = {"file": args.file, "symbol": args.symbol}
     profile = _load_single_profile(args, inputs)
     if profile is None:
         return EXIT_OPERATION
     curve = None if args.curve is None else _parse_curve_spec(args.curve)
-    try:
-        _check_new_symbol(profile, args.symbol)
-    except ValueError as exc:  # an exceptional symbol the divisor grammar cannot write
-        raise DivisorParseError(str(exc)) from exc
     if curve is not None:
         inputs["curve"] = args.curve
         transformed, _ = blow_up_curve(profile, args.symbol, *curve)

@@ -32,7 +32,9 @@ every key: equal expressions list equal items in the same order.
 negation and the scalar on the left to each type's own ``+`` and ``*``.
 
 `CalcError` is the base of every calculator error, and `MalformedInputError`
-of those the command line reports with exit code 2 rather than 1.
+of those the command line reports with exit code 2 rather than 1.  A
+`MalformedInputError` is also a `ValueError`, so a library caller that
+catches the bad value it passed catches it too.
 
 Symbol names are non-empty strings.  By convention the name ``K`` denotes
 the canonical class in profile-independent identities; `identity_check`
@@ -66,7 +68,7 @@ class CalcError(Exception):
     """Base class for all calculator errors."""
 
 
-class MalformedInputError(CalcError):
+class MalformedInputError(CalcError, ValueError):
     """Input from outside the program that does not follow its grammar or
     names something that does not exist."""
 
@@ -102,7 +104,8 @@ def rat(value: RationalInput) -> Fraction:
     if isinstance(value, str):
         if _RATIONAL_TEXT.fullmatch(value) is None:
             raise ValueError(f"{value!r} is not an exact rational p/q")
-        return Fraction(value)
+        numerator, _, denominator = value.partition("/")
+        return Fraction(int(numerator), int(denominator or 1))
     raise TypeError(
         f"expected an exact rational (int, Fraction or 'p/q' string), "
         f"got {type(value).__name__}"

@@ -410,27 +410,21 @@ class ThreefoldProfile(_Record):
         out: list[str] = []
         basis = set(self.basis)
 
+        def unknown(symbols: Iterable[str], where: str) -> None:
+            out.extend(f"unknown symbol '{s}' in {where}" for s in symbols if s not in basis)
+
+        # the triple and the flags test first: formatting their place costs more
         for key in self.triple:
-            for s in key:
-                if s not in basis:
-                    out.append(f"unknown symbol '{s}' in triple entry {key}")
-        for s in self.c2_vector:
-            if s not in basis:
-                out.append(f"unknown symbol '{s}' in c2 vector")
-        unknown_core = bool(out)
-        for s in sorted(self.canonical.symbols()):
-            if s not in basis:
-                out.append(f"unknown symbol '{s}' in canonical class")
-                unknown_core = True
+            if not basis.issuperset(key):
+                unknown(key, f"triple entry {key}")
+        unknown(self.c2_vector, "c2 vector")
+        unknown(sorted(self.canonical.symbols()), "canonical class")
+        unknown_core = bool(out)  # the chiox check below needs these three known
         for name, d in sorted(self.named_divisors.items()):
-            for s in sorted(d.symbols()):
-                if s not in basis:
-                    out.append(f"unknown symbol '{s}' in named divisor '{name}'")
+            unknown(sorted(d.symbols()), f"named divisor '{name}'")
         for f in sorted(self.flags, key=str):
-            if f.subject is not None:
-                for s in sorted(f.subject.symbols()):
-                    if s not in basis:
-                        out.append(f"unknown symbol '{s}' in flag {f}")
+            if f.subject is not None and not basis.issuperset(f.subject.symbols()):
+                unknown(sorted(f.subject.symbols()), f"flag {f}")
 
         for skey in sorted(self._shared):
             entries = sorted((key, self.triple[key]) for key in self._shared[skey])

@@ -22,7 +22,7 @@ nested too deep to read included, is a `ProfileFormatError`.
 Divisor expressions use the grammar ``coef*SYM (+|-) ...`` with rational
 coefficients ``p/q``; whitespace is insignificant, the star is optional,
 and a bare symbol means coefficient one.  `parse_divisor` reads each
-coefficient its term pattern matched with `int`, and raises
+coefficient its term pattern matched with `core.rat`, and raises
 `DivisorParseError` for one of more digits than `int` converts.
 `resolve_divisor` additionally accepts names of stored divisors and the
 canonical class ``K``.
@@ -82,20 +82,16 @@ def parse_divisor(text: str) -> DivisorExpr:
             raise DivisorParseError(
                 f"term without a symbol in '{text}' at position {pos}"
             )
-        if coef is None:
-            value = Fraction(1)
-        else:
-            numerator, _, denominator = coef.partition("/")
-            try:
-                value = Fraction(int(numerator), int(denominator) if denominator else 1)
-            except ZeroDivisionError as exc:
-                raise DivisorParseError(
-                    f"zero denominator in '{text}' at position {pos}"
-                ) from exc
-            except ValueError as exc:  # more digits than int() converts
-                raise DivisorParseError(
-                    f"cannot read the coefficient in '{text}' at position {pos}: {exc}"
-                ) from exc
+        try:
+            value = rat(coef or "1")
+        except ZeroDivisionError as exc:
+            raise DivisorParseError(
+                f"zero denominator in '{text}' at position {pos}"
+            ) from exc
+        except ValueError as exc:  # more digits than int() converts
+            raise DivisorParseError(
+                f"cannot read the coefficient in '{text}' at position {pos}: {exc}"
+            ) from exc
         if sign == "-":
             value = -value
         terms.append((sym, value))
@@ -124,8 +120,6 @@ def resolve_divisor(p: ThreefoldProfile, text: str) -> DivisorExpr:
     name = text.strip()
     if name in p.named_divisors:
         return p.named_divisors[name]
-    if name == "K" and "K" not in p.basis:
-        return p.canonical
     parsed = parse_divisor(text)
     out = DivisorExpr.zero()
     for sym, coeff in parsed.items():

@@ -20,6 +20,7 @@ from adjoint3 import (
     pull_back,
     serialize_profile,
 )
+from adjoint3.profile_io import DivisorParseError
 
 from conftest import random_divisor, random_valid_profile
 
@@ -113,9 +114,9 @@ class TestPointBlowup:
     def test_exceptional_symbol_is_a_grammar_symbol(self, symbol):
         # a profile file names its symbols in the divisor grammar
         p3 = get("P3").profile
-        with pytest.raises(ValueError):
+        with pytest.raises(DivisorParseError):
             blow_up_point(p3, symbol)
-        with pytest.raises(ValueError):
+        with pytest.raises(DivisorParseError):
             blow_up_curve(p3, symbol, genus=0, degrees={"H": 1})
 
     def test_grammar_symbol_round_trips(self):

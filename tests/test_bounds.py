@@ -170,6 +170,15 @@ class TestCertificateInvariants:
                 integer_bound=0,
             )
 
+    @pytest.mark.parametrize("bound, ceiling", [(Fraction(1, 2), 1), (Fraction(-3, 2), -1)])
+    def test_omitted_integer_bound_is_the_ceiling(self, bound, ceiling):
+        cert = Certificate(Conclusion.INCONCLUSIVE, ROUTE_NONE, bound)
+        assert cert.integer_bound == ceiling
+
+    def test_integer_bound_needs_a_rational_bound(self):
+        with pytest.raises(ValueError):
+            Certificate(Conclusion.INCONCLUSIVE, ROUTE_NONE, integer_bound=1)
+
     def test_non_vanishing_needs_positive_bound(self):
         with pytest.raises(ValueError):
             Certificate(Conclusion.NON_VANISHING, ROUTE_NOT_UNIRULED)
@@ -370,6 +379,14 @@ class TestCertifyBs:
         cert = certify_h0_bs(p3, 3 * H)
         assert cert.route == ROUTE_POSITIVE_IRREGULARITY
         assert cert.citations == (CH02_THM42,)
+
+    def test_insufficient_flags_are_inconclusive(self):
+        p3 = get("P3").profile.with_flags(
+            flag(FlagKind.AMPLE, 3 * H), flag(FlagKind.NEF, 2 * H), replace=True
+        )
+        cert = certify_h0_bs(p3, 3 * H)
+        assert cert.conclusion is Conclusion.INCONCLUSIVE
+        assert cert.route == ROUTE_NONE
 
     def test_requires_nef_adjoint_flag(self):
         p3 = get("P3").profile  # Ample(H) declared, no Nef(K+2H)

@@ -86,6 +86,13 @@ class TestValidate:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ProfileFormatError"
 
+    def test_json_array_is_not_a_profile(self, capsys, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([json.loads(serialize_profile(get("P3").profile))]))
+        code, out = run(capsys, "validate", str(path))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ProfileFormatError"
+
     def test_bytes_that_are_not_utf8(self, capsys, tmp_path):
         # reading the file once raised a UnicodeDecodeError traceback with exit 1
         binary = tmp_path / "binary.json"
@@ -147,6 +154,7 @@ class TestValidate:
             pytest.param(lambda o: o.update(chi_O=True), id="boolean-chi_O"),
             pytest.param(lambda o: o.update(c2=[True]), id="boolean-c2"),
             pytest.param(lambda o: o["triple"][0].update(value=True), id="boolean-triple-value"),
+            pytest.param(lambda o: o.update(bogus=1), id="unknown-field"),
         ],
     )
     def test_malformed_profile_is_rejected(self, capsys, tmp_path, corrupt):
@@ -526,6 +534,36 @@ class TestDeterminismAndBatch:
         }
         assert second["inputs"]["file"] == files[1]
         assert second["result"]["chi"] == "4/1"
+
+    def test_unreadable_file_is_its_own_report(self, capsys, p3_file, tmp_path):
+        # an OSError once ended the batch with one command-level report
+        missing = str(tmp_path / "missing.json")
+        code, out = run(capsys, "chi", p3_file, missing, "--divisor", "H")
+        assert code == 2
+        first, second = json.loads(out)
+        assert first["inputs"]["file"] == p3_file
+        assert first["result"]["chi"] == "4/1"
+        assert second["inputs"] == {"file": missing}
+        assert second["error"]["type"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["validate", "missing.json"], id="validate-missing-file"),
+        pytest.param(["blowup", "missing.json", "--point", "--symbol", "E"], id="blowup-missing-file"),
+        pytest.param(["catalog", "P3", "-o", "missing/x.json"], id="catalog-missing-directory"),
+    ],
+)
+def test_os_error_is_one_json_error_with_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["command"] == argv[0]
+    assert report["error"]["type"] == "FileNotFoundError"
 
 
 def _calculator_error_classes():

@@ -46,6 +46,33 @@ def test_rat_reads_signed_p_over_q():
         rat("1/0")
 
 
+def _read(read, text):
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+_digits = st.one_of(
+    st.text("0123456789", min_size=1, max_size=8),
+    st.sampled_from(["0", "00"]),
+    # around the 4300 digits int() converts by default
+    st.builds(lambda d, n: d * n, st.sampled_from("0123456789"), st.integers(4295, 4310)),
+)
+_rational_texts = st.builds(
+    lambda sign, p, q: sign + p + ("" if q is None else "/" + q),
+    st.sampled_from(["", "+", "-"]),
+    _digits,
+    st.none() | _digits,
+)
+
+
+@given(_rational_texts)
+def test_rat_reads_text_as_fraction_does(text):
+    # `rat` reads p/q with int(); Fraction(text) is the reading it replaced
+    assert _read(rat, text) == _read(Fraction, text)
+
+
 def test_rat_rejects_floats():
     with pytest.raises(TypeError):
         rat(0.5)
@@ -210,6 +237,11 @@ class TestNumberExpr:
         m = NumberExpr({("A", "K", "K"): 1}, {"K": -2}, constant=Fraction(1, 3))
         assert n - m == n + (-1) * m
         assert Fraction(-3, 2) * n == n * Fraction(-3, 2)
+
+    def test_str_and_repr_with_all_four_parts(self):
+        n = NumberExpr({("A", "A", "K"): 2}, {"A": 1}, chi_o_coeff=3, constant=-1)
+        assert str(n) == "2*A*A*K + c2.A + 3*chi_O - 1"
+        assert repr(n) == "NumberExpr(2*A*A*K + c2.A + 3*chi_O - 1)"
 
     def test_empty_pairing_symbol_rejected(self):
         # pairings and divisors share one key rule

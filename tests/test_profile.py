@@ -22,8 +22,10 @@ from adjoint3 import (
     UnknownSymbolError,
     expand_divisors,
     flag,
+    format_divisor,
     get,
     parse_profile,
+    resolve_divisor,
     serialize_profile,
 )
 
@@ -80,6 +82,11 @@ class TestValidation:
         text = "\n".join(p.validate())
         for sym in "XYZW":
             assert f"unknown symbol '{sym}'" in text
+
+    def test_unknown_symbol_in_a_flag_subject(self):
+        X = DivisorExpr.symbol("X")
+        p = get("P3").profile.with_flags(flag(FlagKind.AMPLE, H + X), replace=True)
+        assert p.validate() == ["unknown symbol 'X' in flag Ample(H + X)"]
 
     def test_duplicate_basis_rejected(self):
         with pytest.raises(ValueError):
@@ -315,3 +322,32 @@ class TestStructuralEquality:
             canonical=DivisorExpr.zero(),
         )
         assert a == b
+
+
+def _k_in_the_basis() -> ThreefoldProfile:
+    return ThreefoldProfile(basis=("H", "K"), triple={("H", "H", "H"): 1}, canonical={"H": -4})
+
+
+@pytest.mark.parametrize(
+    "profile, text, expected",
+    [
+        pytest.param(lambda: get("P3").profile, "K", "-4/1*H", id="P3-K"),
+        pytest.param(lambda: get("P3").profile, "2K + H", "-7/1*H", id="P3-expression"),
+        pytest.param(_k_in_the_basis, "K", "1/1*K", id="basis-K"),
+        pytest.param(_k_in_the_basis, "2K + H", "1/1*H + 2/1*K", id="basis-K-expression"),
+        pytest.param(
+            lambda: get("P3").profile.with_named_divisors(K={"H": 2}), "K", "2/1*H", id="named-K"
+        ),
+        pytest.param(
+            lambda: get("P3").profile.with_named_divisors(K={"H": 2}),
+            "2K + H",
+            "5/1*H",
+            id="named-K-expression",
+        ),
+        pytest.param(lambda: get("BlP3").profile, "2*A2 + H", "5/1*H - 2/1*E", id="named-in-expression"),
+    ],
+)
+def test_resolve_divisor(profile, text, expected):
+    # K is the canonical class unless a basis symbol or a named divisor takes the name
+    p = profile()
+    assert format_divisor(resolve_divisor(p, text), p.basis) == expected

@@ -150,9 +150,7 @@ def pull_back(m: BlowupMap, D: DivisorExpr) -> DivisorExpr:
 
     Coefficients are unchanged; the exceptional coefficient is zero.
     """
-    for s in D.symbols():
-        if s not in m.target.basis:
-            raise UnknownSymbolError(s, "pull_back")
+    m.target._check_symbols(D, "pull_back")
     return DivisorExpr(D.coefficients)
 
 

@@ -8,6 +8,9 @@ file, or a file that cannot be read, is that file's report).  Exit codes:
 other calculator error.  The two commands that produce profiles
 (``catalog`` and ``blowup``) write a profile file instead, either to
 ``--output`` or to standard output.
+
+Each ``_cmd_*`` handler returns its output and exit code; `main` writes it,
+a report as indented JSON and a profile as its text, and is the one writer.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .profile_io import (
     format_divisor,
     load_profile,
     resolve_divisor,
+    save_profile,
     serialize_profile,
 )
 
@@ -68,8 +72,8 @@ def _certificate_record(cert, basis) -> dict:
     }
 
 
-def _run_per_file(args, evaluate, **options) -> int:
-    """Print one report per input file, in input order; return the worst exit code.
+def _run_per_file(args, evaluate, **options) -> tuple[dict | list, int]:
+    """The report of each input file, in input order, and the worst exit code.
 
     Each file is loaded and validated.  A profile with violations is
     reported with them and exit 1; ``evaluate(profile, inputs)`` returns
@@ -93,18 +97,15 @@ def _run_per_file(args, evaluate, **options) -> int:
         except (CalcError, OSError) as exc:
             reports.append(_error_report(args.command, exc, inputs={"file": path}))
     if len(reports) == 1:
-        body = reports[0][0]
-    else:
-        body = [r for r, _ in reports]
-    print(json.dumps(body, indent=2))
-    return max(code for _, code in reports)
+        return reports[0]
+    return [r for r, _ in reports], max(code for _, code in reports)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     return _run_per_file(args, None)
 
 
-def _cmd_chi(args) -> int:
+def _cmd_chi(args):
     from .riemann_roch import chi_line_bundle
 
     def evaluate(profile: ThreefoldProfile, inputs: dict) -> dict:
@@ -120,7 +121,7 @@ def _cmd_chi(args) -> int:
     return _run_per_file(args, evaluate, divisor=args.divisor)
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args):
     from .bounds import miyaoka_c2_inequality
 
     def evaluate(profile: ThreefoldProfile, inputs: dict) -> dict:
@@ -142,7 +143,7 @@ def _cmd_bound(args) -> int:
     return _run_per_file(args, evaluate, divisor=args.divisor, rule=args.rule)
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args):
     from .bounds import certify_h0_adjoint, certify_h0_bs
 
     def evaluate(profile: ThreefoldProfile, inputs: dict) -> dict:
@@ -194,41 +195,33 @@ def _parse_curve_spec(text: str) -> tuple[int, dict[str, Fraction]]:
     return genus, degrees or {}
 
 
-def _load_single_profile(args, inputs: dict) -> ThreefoldProfile | None:
-    """The profile in ``args.file``, or None once its violations are reported."""
+class _Violations(Exception):
+    """A single-file command's profile has violations; ``args[0]`` reports them."""
+
+
+def _load_single_profile(args, inputs: dict) -> ThreefoldProfile:
+    """The profile in ``args.file``; raises `_Violations` if it has any."""
     profile = load_profile(args.file)
     violations = profile.validate()
     if violations:
-        report = {"command": args.command, "inputs": inputs, "violations": violations}
-        print(json.dumps(report, indent=2))
-        return None
+        raise _Violations({"command": args.command, "inputs": inputs, "violations": violations})
     return profile
 
 
-def _write_profile(args, inputs: dict, profile: ThreefoldProfile, result: dict) -> int:
-    """Write the profile to ``--output`` and report it, or to standard output."""
-    text = serialize_profile(profile)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        report = {
-            "command": args.command,
-            "inputs": inputs,
-            "result": {"output": args.output, **result},
-        }
-        print(json.dumps(report, indent=2))
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+def _write_profile(args, inputs: dict, profile: ThreefoldProfile, result: dict):
+    """Write the profile to ``--output`` and report it, or return its text."""
+    if not args.output:
+        return serialize_profile(profile), EXIT_OK
+    save_profile(profile, args.output)
+    result = {"output": args.output, **result}
+    return {"command": args.command, "inputs": inputs, "result": result}, EXIT_OK
 
 
-def _cmd_blowup(args) -> int:
+def _cmd_blowup(args):
     from .birational import blow_up_curve, blow_up_point
 
     inputs = {"file": args.file, "symbol": args.symbol}
     profile = _load_single_profile(args, inputs)
-    if profile is None:
-        return EXIT_OPERATION
     curve = None if args.curve is None else _parse_curve_spec(args.curve)
     if curve is not None:
         inputs["curve"] = args.curve
@@ -239,7 +232,7 @@ def _cmd_blowup(args) -> int:
     return _write_profile(args, inputs, transformed, {"basis": list(transformed.basis)})
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args):
     from .riemann_roch import chi_identity_suite
 
     results = chi_identity_suite()
@@ -251,20 +244,17 @@ def _cmd_identities(args) -> int:
             for name, ok in results
         ],
     }
-    print(json.dumps(report, indent=2))
-    return EXIT_OK if all(ok for _, ok in results) else EXIT_OPERATION
+    return report, EXIT_OK if all(ok for _, ok in results) else EXIT_OPERATION
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args):
     entry = catalog_mod.get(args.name)
     return _write_profile(args, {"name": args.name}, entry.profile, {"entry": entry.name})
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args):
     inputs = {"file": args.file}
     profile = _load_single_profile(args, inputs)
-    if profile is None:
-        return EXIT_OPERATION
     eps_list = [_parse_rational(e, "eps") for e in args.eps] if args.eps else None
     # the scan rejects eps <= 0 with a ValueError, which is no command error
     for eps in eps_list or ():
@@ -282,13 +272,18 @@ def _cmd_witness(args) -> int:
             "candidate": format_divisor(candidate, profile.basis),
         },
     }
-    print(json.dumps(report, indent=2))
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # `main` reports it as JSON instead of exiting
         raise argparse.ArgumentError(None, message)
+
+    def _get_values(self, action, arg_strings):
+        # argparse 3.11 drops one "--" from any action's values; `--name=--` keeps it
+        if action.option_strings and arg_strings == ["--"]:
+            arg_strings = ["--", "--"]
+        return super()._get_values(action, arg_strings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,16 +356,20 @@ def main(argv=None) -> int:
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(words)
-        return args.handler(args)
-    except argparse.ArgumentError as exc:  # usage; the command as typed, known or not
-        command = words[0] if words and not words[0].startswith("-") else None
-        error = {"type": "UsageError", "message": str(exc)}
-        print(json.dumps({"command": command, "error": error}, indent=2))
-        return EXIT_MALFORMED
-    except (CalcError, OSError) as exc:
-        report, code = _error_report(args.command, exc)
-        print(json.dumps(report, indent=2))
+        try:
+            args = build_parser().parse_args(words)
+            output, code = args.handler(args)
+        except argparse.ArgumentError as exc:  # usage; the command as typed, known or not
+            command = words[0] if words and not words[0].startswith("-") else None
+            error = {"type": "UsageError", "message": str(exc)}
+            output, code = {"command": command, "error": error}, EXIT_MALFORMED
+        except _Violations as exc:
+            output, code = exc.args[0], EXIT_OPERATION
+        except (CalcError, OSError) as exc:
+            output, code = _error_report(args.command, exc)
+        # the one write: a profile's text as is, a report as indented JSON
+        text = output if isinstance(output, str) else json.dumps(output, indent=2) + "\n"
+        sys.stdout.write(text)
         return code
     finally:
         sys.set_int_max_str_digits(digits)

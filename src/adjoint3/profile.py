@@ -422,9 +422,11 @@ class ThreefoldProfile(_Record):
         unknown_core = bool(out)  # the chiox check below needs these three known
         for name, d in sorted(self.named_divisors.items()):
             unknown(sorted(d.symbols()), f"named divisor '{name}'")
-        for f in sorted(self.flags, key=str):
-            if f.subject is not None and not basis.issuperset(f.subject.symbols()):
-                unknown(sorted(f.subject.symbols()), f"flag {f}")
+        # sorted by their text, which only the flags with an unknown symbol render
+        bad_flags = [f for f in self.flags if f.subject is not None
+                     and not basis.issuperset(f.subject.symbols())]
+        for f in sorted(bad_flags, key=str):
+            unknown(sorted(f.subject.symbols()), f"flag {f}")
 
         for skey in sorted(self._shared):
             entries = sorted((key, self.triple[key]) for key in self._shared[skey])

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adjoint3
 from adjoint3 import (
     DivisorExpr,
     MissingCurveDegreeError,
@@ -197,6 +202,26 @@ class TestPullBack:
         _, m = blow_up_point(get("P3").profile, "E")
         with pytest.raises(UnknownSymbolError):
             pull_back(m, E)
+
+    def test_unknown_symbol_does_not_depend_on_hash_seed(self):
+        # the symbol named was once the first in frozenset order: X, Z, Y, Z, Z, Z
+        # under seeds 1 to 6
+        script = (
+            "from adjoint3 import DivisorExpr, blow_up_point, get, pull_back\n"
+            "X, Y, Z = map(DivisorExpr.symbol, 'XYZ')\n"
+            "_, m = blow_up_point(get('P3').profile, 'E')\n"
+            "try:\n"
+            "    pull_back(m, X + Y + Z)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(adjoint3.__file__).resolve().parents[1])
+        for seed in "123456":
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            assert proc.stdout == "unknown symbol 'X' in pull_back\n"
 
     @given(st.integers(0, 10**9))
     @settings(deadline=None)

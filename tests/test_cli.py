@@ -260,6 +260,51 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: adjoint3")
 
 
+class TestDoubleDashValue:
+    # argparse once dropped the value of an option written `--name=--` and handed
+    # the command []: four tracebacks, certify and the eps scan run on their
+    # defaults, and two profiles written to stdout instead of a file named "--"
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            pytest.param(["chi", "P3.json", "--divisor=--"], PARSE, id="divisor"),
+            pytest.param(["bound", "P3.json", "--divisor", "H", "--rule", "miyaoka", "--ample=--"], PARSE, id="ample"),
+            pytest.param(["blowup", "P3.json", "--curve=--", "--symbol", "E"], PARSE, id="curve"),
+            pytest.param(["blowup", "P3.json", "--point", "--symbol=--"], PARSE, id="symbol"),
+            pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps=--"], PARSE, id="eps"),
+            pytest.param(["bound", "P3.json", "--divisor", "H", "--rule=--"], "UsageError", id="rule"),
+            pytest.param(["certify", "P3.json", "--divisor", "H", "--target=--"], "UsageError", id="target"),
+        ],
+    )
+    def test_is_the_value_of_the_option(self, capsys, tmp_path, monkeypatch, argv, error):
+        monkeypatch.chdir(tmp_path)
+        for name in ("P3", "Pencil5"):
+            Path(f"{name}.json").write_text(serialize_profile(get(name).profile))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["command"] == argv[0]
+        assert report["error"]["type"] == error
+        assert "'--'" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["catalog", "P3", "--output=--"], id="output"),
+            pytest.param(["blowup", "P3.json", "--point", "--symbol", "E", "-o=--"], id="o"),
+        ],
+    )
+    def test_names_the_output_file(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("P3.json").write_text(serialize_profile(get("P3").profile))
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["result"]["output"] == "--"
+        assert parse_profile(Path("--").read_text()).validate() == []
+
+
 class TestChi:
     def test_hyperplane(self, capsys, p3_file):
         code, out = run(capsys, "chi", p3_file, "--divisor", "H")
@@ -433,6 +478,31 @@ class TestWitness:
         assert code == 0
         assert result["eps"] == "1/2"
         assert result["value"] == "4/1"
+
+
+class TestSingleFileViolations:
+    # a profile with violations ends blowup and witness-bad-anticanonical
+    # with its violations report, before any option is read or file written
+    @pytest.mark.parametrize(
+        "argv, inputs",
+        [
+            pytest.param(["blowup", "--point", "--symbol", "E"], {"symbol": "E"}, id="blowup"),
+            pytest.param(
+                ["blowup", "--point", "--symbol", "E", "-o", "out.json"], {"symbol": "E"}, id="blowup-o"
+            ),
+            pytest.param(["witness-bad-anticanonical"], {}, id="witness"),
+        ],
+    )
+    def test_reported_with_exit_1(self, capsys, tmp_path, monkeypatch, corrupt_file, argv, inputs):
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, argv[0], corrupt_file, *argv[1:])
+        assert code == 1
+        assert json.loads(out) == {
+            "command": argv[0],
+            "inputs": {"file": corrupt_file, **inputs},
+            "violations": ["chiox inconsistency: -24 != -48"],
+        }
+        assert not Path("out.json").exists()
 
 
 class TestDeterminismAndBatch:

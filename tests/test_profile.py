@@ -87,6 +87,18 @@ class TestValidation:
         X = DivisorExpr.symbol("X")
         p = get("P3").profile.with_flags(flag(FlagKind.AMPLE, H + X), replace=True)
         assert p.validate() == ["unknown symbol 'X' in flag Ample(H + X)"]
+        # only the offending flags are sorted, by their text; a clean flag adds nothing
+        p = get("P3").profile.with_flags(
+            flag(FlagKind.NEF, 2 * X),
+            flag(FlagKind.NEF_AND_BIG, 2 * H),
+            flag(FlagKind.BIG, H + DivisorExpr.symbol("Y") + X),
+            replace=True,
+        )
+        assert p.validate() == [
+            "unknown symbol 'X' in flag Big(H + X + Y)",
+            "unknown symbol 'Y' in flag Big(H + X + Y)",
+            "unknown symbol 'X' in flag Nef(2*X)",
+        ]
 
     def test_duplicate_basis_rejected(self):
         with pytest.raises(ValueError):

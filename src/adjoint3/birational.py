@@ -87,7 +87,7 @@ def blow_up_point(
     """
     _check_new_symbol(p, new_symbol)
     e = new_symbol
-    triple = dict(p.symmetric_triple())
+    triple = dict(p.triple)
     triple[(e, e, e)] = Fraction(1)
     c2 = {s: v for s, v in p.c2_vector.items() if v != 0}
     source = _blown_up(p, e, triple, c2, p.canonical + DivisorExpr.symbol(e, 2))
@@ -126,7 +126,7 @@ def blow_up_curve(
     canonical_dot_curve = sum(
         (c * deg[s] for s, c in p.canonical.items()), Fraction(0)
     )
-    triple = dict(p.symmetric_triple())
+    triple = dict(p.triple)
     for s in p.basis:
         if deg[s] != 0:
             triple[tuple(sorted((s, e, e)))] = -deg[s]

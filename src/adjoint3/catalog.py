@@ -299,12 +299,15 @@ def bad_anticanonical_witness(
     Defaults to the halving scan eps = 1/2, 1/4, ..., 2^-20 and returns the
     first eps with a strictly positive value together with that value.  A
     positive value against an ample F + eps*H certifies that -K is not
-    generically nef.  Every eps must be positive (`ValueError` otherwise);
-    that F + eps*H is ample is not checked.
+    generically nef.  Every eps must be positive (`DivisorParseError`, a
+    `MalformedInputError`, otherwise); that F + eps*H is ample is not checked.
     """
     scan = DEFAULT_EPS_SCAN if eps_list is None else tuple(rat(e) for e in eps_list)
-    if any(eps <= 0 for eps in scan):
-        raise ValueError("every eps in the scan must be positive")
+    for eps in scan:
+        if eps <= 0:
+            from .profile_io import DivisorParseError
+
+            raise DivisorParseError(f"eps {format_rational(eps)} is not positive")
     p = entry.profile if isinstance(entry, CatalogEntry) else entry
     f, h = _witness_classes(p)
     for eps in scan:

@@ -210,7 +210,7 @@ def _load_single_profile(args, inputs: dict) -> ThreefoldProfile:
 
 def _write_profile(args, inputs: dict, profile: ThreefoldProfile, result: dict):
     """Write the profile to ``--output`` and report it, or return its text."""
-    if not args.output:
+    if args.output is None:
         return serialize_profile(profile), EXIT_OK
     save_profile(profile, args.output)
     result = {"output": args.output, **result}
@@ -256,10 +256,6 @@ def _cmd_witness(args):
     inputs = {"file": args.file}
     profile = _load_single_profile(args, inputs)
     eps_list = [_parse_rational(e, "eps") for e in args.eps] if args.eps else None
-    # the scan rejects eps <= 0 with a ValueError, which is no command error
-    for eps in eps_list or ():
-        if eps <= 0:
-            raise DivisorParseError(f"eps {format_rational(eps)} is not positive")
     eps, value = catalog_mod.bad_anticanonical_witness(profile, eps_list)
     fiber, polarization = catalog_mod._witness_classes(profile)
     candidate = fiber + eps * polarization

@@ -17,19 +17,18 @@ canonical divisor expressions; no rescaling is applied.  When several
 declared flags certify the same property, `ThreefoldProfile.find_flag`
 picks one by a fixed rule, so certificates do not depend on set order.
 
-The triple tensor is stored exactly as supplied so that symmetry damage is
-observable by `ThreefoldProfile.validate`.  Evaluation reads a symmetrised
-view in which the lexicographically smallest stored permutation of each
-index triple wins; the constructor builds both in one pass and records the
-triples stored under several permutations, which `validate` compares.  On
-first evaluation the view is compiled into an `IntegerTensor`: one common
-denominator L and a dense integer tensor T on basis positions, where
-T[i][j][k] / L is the value of the triple in every order of i, j and k.
-Evaluations multiply integers and build one `Fraction` at the end, so they
-return the very rationals the `Fraction` arithmetic would.  Copies made by
-`with_flags` and `with_named_divisors` share all validated data, the
-compiled form included, and check only the flags and divisors they add;
-construction, parsing, validation, serialization and blow-ups never compile.
+The triple tensor is stored once, on sorted symbol triples with zeros
+dropped: the constructor accepts a triple under any of its orders, and
+raises `ValueError` when two orders of one triple carry different values
+or a key names a symbol outside the basis.  On first evaluation the
+tensor is compiled into an `IntegerTensor`: one common denominator L and
+a dense integer tensor T on basis positions, where T[i][j][k] / L is the
+value of the triple in every order of i, j and k.  Evaluations multiply
+integers and build one `Fraction` at the end, so they return the very
+rationals the `Fraction` arithmetic would.  Copies made by `with_flags`
+and `with_named_divisors` share all validated data, the compiled form
+included, and check only the flags and divisors they add; construction,
+parsing, validation, serialization and blow-ups never compile.
 """
 
 from __future__ import annotations
@@ -190,17 +189,14 @@ class IntegerTensor(NamedTuple):
 
 
 def _compile_tensor(
-    basis: tuple[str, ...], sym_triple: Mapping[tuple[str, str, str], Fraction]
+    basis: tuple[str, ...], triple: Mapping[tuple[str, str, str], Fraction]
 ) -> IntegerTensor:
     position = {s: i for i, s in enumerate(basis)}
     n = len(basis)
-    denominator, scaled = scaled_to_integers(sym_triple)
+    denominator, scaled = scaled_to_integers(triple)
     entries = [[[0] * n for _ in range(n)] for _ in range(n)]
     for (a, b, c), v in scaled:
-        try:
-            i, j, k = position[a], position[b], position[c]
-        except KeyError:  # no divisor over the basis reaches this entry
-            continue
+        i, j, k = position[a], position[b], position[c]
         entries[i][j][k] = entries[i][k][j] = entries[j][i][k] = v
         entries[j][k][i] = entries[k][i][j] = entries[k][j][i] = v
     return IntegerTensor(position, denominator, entries)
@@ -210,9 +206,10 @@ class ThreefoldProfile(_Record):
     """Finite intersection-theoretic model of a smooth projective threefold.
 
     Fields: ``basis`` (ordered symbol names), ``triple`` (the trilinear
-    form, stored on index triples as given), ``c2_vector`` (pairing of each
-    basis symbol with the second Chern class), ``chi_O``, ``canonical``
-    (the canonical class over the basis), ``flags`` and ``named_divisors``.
+    form on sorted symbol triples, zeros dropped), ``c2_vector`` (pairing
+    of each basis symbol with the second Chern class), ``chi_O``,
+    ``canonical`` (the canonical class over the basis), ``flags`` and
+    ``named_divisors``.
 
     Instances are immutable; use `with_flags` / `with_named_divisors` to
     derive modified copies.
@@ -226,8 +223,6 @@ class ThreefoldProfile(_Record):
         "canonical",
         "flags",
         "named_divisors",
-        "_sym_triple",
-        "_shared",
         "_compiled",
     )
 
@@ -250,28 +245,24 @@ class ThreefoldProfile(_Record):
                 raise ValueError(f"basis symbol {s!r} does not match {_SYMBOL}")
 
         items = triple.items() if isinstance(triple, Mapping) else triple
-        # one pass: the stored tensor and the view, smallest stored permutation winning
+        symbols = frozenset(self.basis)
         stored: dict[tuple[str, str, str], Fraction] = {}
-        sym: dict[tuple[str, str, str], Fraction] = {}
-        holders = {}  # sorted triple -> its smallest stored permutation so far
-        shared = {}  # sorted triple -> its stored permutations, when several
         for key, value in items:
             key = tuple(key)
             a, b, c = key if len(key) == 3 else (None, None, None)
-            if not (isinstance(a, str) and isinstance(b, str) and isinstance(c, str)):
-                raise ValueError(f"triple keys are symbol triples, got {key!r}")
-            stored[key] = value = rat(value)
-            skey = key if a <= b <= c else tuple(sorted(key))
-            holder = holders.setdefault(skey, key)
-            if holder is not key and holder != key:  # stored under a second permutation
-                shared.setdefault(skey, {holder}).add(key)
-                if key > holder:
-                    continue
-                holders[skey] = key
-            sym[skey] = value
+            if not (a in symbols and b in symbols and c in symbols):
+                raise ValueError(f"triple key {key!r} is not three basis symbols")
+            if not a <= b <= c:
+                key = tuple(sorted(key))
+            value = rat(value)
+            known = stored.setdefault(key, value)
+            if known is not value and known != value:
+                raise ValueError(f"triple {key} is given two values, {known} and {value}")
+        # zeros go after the loop, which compares them too; testing for one
+        # first spares the copy, since no profile file stores a zero
+        if not all(stored.values()):
+            stored = {key: v for key, v in stored.items() if v}
         self.triple = MappingProxyType(stored)
-        self._sym_triple = sym
-        self._shared = shared
 
         c2_items = c2_vector.items() if isinstance(c2_vector, Mapping) else c2_vector
         self.c2_vector = MappingProxyType({s: rat(v) for s, v in c2_items})
@@ -280,7 +271,7 @@ class ThreefoldProfile(_Record):
         self.flags = _checked_flags(flags)
         named = named_divisors.items() if isinstance(named_divisors, Mapping) else named_divisors
         self.named_divisors = MappingProxyType({n: _coerce_divisor(d) for n, d in named})
-        # the IntegerTensor of `sym`, made on first use; shared with derived copies
+        # the IntegerTensor of `triple`, made on first use; shared with derived copies
         self._compiled: list[IntegerTensor | None] = [None]
 
     # -- evaluation ---------------------------------------------------
@@ -293,12 +284,8 @@ class ThreefoldProfile(_Record):
     def _tensor(self) -> IntegerTensor:
         cell = self._compiled
         if cell[0] is None:
-            cell[0] = _compile_tensor(self.basis, self._sym_triple)
+            cell[0] = _compile_tensor(self.basis, self.triple)
         return cell[0]
-
-    def symmetric_triple(self) -> dict[tuple[str, str, str], Fraction]:
-        """Canonical symmetrised tensor on sorted triples, zeros dropped."""
-        return {k: v for k, v in self._sym_triple.items() if v != 0}
 
     def triple_eval(
         self, d1: DivisorExpr, d2: DivisorExpr, d3: DivisorExpr
@@ -403,9 +390,11 @@ class ThreefoldProfile(_Record):
     def validate(self) -> list[str]:
         """All invariant violations, as human-readable records.
 
-        An empty list certifies: symbols known, triple symmetric as stored,
-        the canonical class pairs with c2 to -24 * chi_O, and chi_O is an
-        integer.  Violations are data, not failures.
+        An empty list certifies: the symbols of the c2 vector, the canonical
+        class, the named divisors and the flags are basis symbols, the
+        canonical class pairs with c2 to -24 * chi_O, and chi_O is an
+        integer.  Violations are data, not failures; the triple tensor has
+        none, since the constructor rejects an off-basis or conflicting key.
         """
         out: list[str] = []
         basis = set(self.basis)
@@ -413,30 +402,17 @@ class ThreefoldProfile(_Record):
         def unknown(symbols: Iterable[str], where: str) -> None:
             out.extend(f"unknown symbol '{s}' in {where}" for s in symbols if s not in basis)
 
-        # the triple and the flags test first: formatting their place costs more
-        for key in self.triple:
-            if not basis.issuperset(key):
-                unknown(key, f"triple entry {key}")
         unknown(self.c2_vector, "c2 vector")
         unknown(sorted(self.canonical.symbols()), "canonical class")
-        unknown_core = bool(out)  # the chiox check below needs these three known
+        unknown_core = bool(out)  # the chiox check below needs these two known
         for name, d in sorted(self.named_divisors.items()):
             unknown(sorted(d.symbols()), f"named divisor '{name}'")
-        # sorted by their text, which only the flags with an unknown symbol render
+        # the flags test first, since formatting their place costs more; sorted
+        # by their text, which only the flags with an unknown symbol render
         bad_flags = [f for f in self.flags if f.subject is not None
                      and not basis.issuperset(f.subject.symbols())]
         for f in sorted(bad_flags, key=str):
             unknown(sorted(f.subject.symbols()), f"flag {f}")
-
-        for skey in sorted(self._shared):
-            entries = sorted((key, self.triple[key]) for key in self._shared[skey])
-            baseline_key, baseline_value = entries[0]
-            for key, value in entries[1:]:
-                if value != baseline_value:
-                    out.append(
-                        "triple symmetry violation: "
-                        f"T{baseline_key}={baseline_value} but T{key}={value}"
-                    )
 
         if not unknown_core:
             lhs = self.c2_pair(self.canonical)
@@ -453,7 +429,7 @@ class ThreefoldProfile(_Record):
     def _fields(self) -> tuple:
         return (
             self.basis,
-            tuple(sorted(self.symmetric_triple().items())),
+            tuple(sorted(self.triple.items())),
             tuple(sorted((s, v) for s, v in self.c2_vector.items() if v != 0)),
             self.chi_O,
             self.canonical,

@@ -2,22 +2,23 @@
 
 Profiles are stored as JSON with exact rationals rendered as ``p/q``
 strings (never floating point), the triple tensor as records
-``{i, j, k, value}`` with sorted basis indices, and flags as
-``{kind, subject}`` records.  Serialization is canonical: re-serializing a
-parsed file reproduces it byte for byte.
+``{i, j, k, value}`` with basis indices i <= j <= k (an unsorted record is
+a `ProfileFormatError`), and flags as ``{kind, subject}`` records.
+Serialization is canonical: re-serializing a parsed file reproduces it
+byte for byte.
 
 The canonical text is the layout ``json.dumps(obj, indent=2) + "\n"`` gives
 the object of the seven fields in `PROFILE_FIELDS` order, and the writer
 reproduces it without handing the whole object to json.dumps, whose
 indenting encoder is pure Python.  It writes the outer object itself and
 each field but ``triple`` as ``json.dumps(value, indent=2)`` indented one
-level.  The ``triple`` records, taken from the profile's symmetrised view
-in sorted index order, hold only integers and ``p/q`` strings, so one
-``%`` template writes each record, and each distinct value is formatted
-once.  Parsing reads each triple record in one pass and converts each
-distinct value string once, since the values of a triple tensor are
-mostly a few small numbers.  A file that is not UTF-8 text or not JSON,
-nested too deep to read included, is a `ProfileFormatError`.
+level.  The ``triple`` records, taken from the profile's tensor in sorted
+index order, hold only integers and ``p/q`` strings, so one ``%``
+template writes each record, and each distinct value is formatted once.
+Parsing reads each triple record in one pass and converts each distinct
+value string once, since the values of a triple tensor are mostly a few
+small numbers.  A file that is not UTF-8 text or not JSON, nested too
+deep to read included, is a `ProfileFormatError`.
 
 Divisor expressions use the grammar ``coef*SYM (+|-) ...`` with rational
 coefficients ``p/q``; whitespace is insignificant, the star is optional,
@@ -186,8 +187,10 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
             raise ProfileFormatError(f"bad triple record {record!r}: {exc}") from exc
         if type(text) is str:
             values[text] = value
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise ProfileFormatError(f"triple indices out of range: {record!r}")
+        if not 0 <= i <= j <= k < n:
+            in_range = 0 <= min(i, j, k) and max(i, j, k) < n
+            what = "must be sorted, i <= j <= k" if in_range else "out of range"
+            raise ProfileFormatError(f"triple indices {what}: {record!r}")
         key = (basis[i], basis[j], basis[k])
         if key in triple:
             raise ProfileFormatError(f"duplicate triple record: {record!r}")
@@ -236,19 +239,12 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
 
 
 def _triple_rows(p: ThreefoldProfile) -> list[tuple[int, int, int, Fraction]]:
-    """The nonzero ``triple`` entries as sorted index triples, in index order."""
+    """The ``triple`` entries as sorted index triples, in index order."""
     index = {s: i for i, s in enumerate(p.basis)}
-    sym = p._sym_triple
-    rows = []
-    for key, value in sym.items():
-        if value:
-            try:
-                i, j, k = sorted((index[key[0]], index[key[1]], index[key[2]]))
-            except KeyError:  # report the triple met first in smallest stored key order
-                off = (t for t in p.triple if sym[tuple(sorted(t))] and set(t) - index.keys())
-                symbol = min(set(min(off)) - index.keys())
-                raise UnknownSymbolError(symbol, "profile serialization") from None
-            rows.append((i, j, k, value))
+    rows = [
+        (*sorted((index[a], index[b], index[c])), value)
+        for (a, b, c), value in p.triple.items()
+    ]
     rows.sort()
     return rows
 

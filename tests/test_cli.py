@@ -167,6 +167,19 @@ class TestValidate:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ProfileFormatError"
 
+    @pytest.mark.parametrize("command", [["validate"], ["chi", "--divisor", "H"]])
+    def test_unsorted_record_is_rejected(self, capsys, tmp_path, command):
+        # once read as E.H^2 = 5 and written back as the record (0, 0, 1)
+        obj = json.loads(serialize_profile(get("BlP3").profile))
+        obj["triple"].append({"i": 1, "j": 0, "k": 0, "value": "5/1"})
+        path = tmp_path / "unsorted.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out = run(capsys, command[0], str(path), *command[1:])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ProfileFormatError"
+        assert error["message"].startswith("triple indices must be sorted, i <= j <= k")
+
     @pytest.mark.parametrize(
         "argv, error",
         [
@@ -623,6 +636,7 @@ class TestDeterminismAndBatch:
         pytest.param(["validate", "missing.json"], id="validate-missing-file"),
         pytest.param(["blowup", "missing.json", "--point", "--symbol", "E"], id="blowup-missing-file"),
         pytest.param(["catalog", "P3", "-o", "missing/x.json"], id="catalog-missing-directory"),
+        pytest.param(["catalog", "P3", "--output="], id="catalog-empty-output"),
     ],
 )
 def test_os_error_is_one_json_error_with_exit_2(capsys, tmp_path, monkeypatch, argv):

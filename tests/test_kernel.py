@@ -163,8 +163,7 @@ rationals = st.builds(
 @st.composite
 def profiles(draw):
     """Rational, negative and zero entries; missing entries; some triples
-    stored under several permutations with different values; now and then
-    an entry on a symbol outside the basis."""
+    stored under several permutations, each with the triple's one value."""
     n = draw(st.integers(1, len(BASIS)))
     basis = BASIS[:n]
     triple = {}
@@ -174,10 +173,9 @@ def profiles(draw):
                 key = (basis[i], basis[j], basis[k])
                 stored = sorted(set(permutations(key)))
                 chosen = draw(st.lists(st.sampled_from(stored), max_size=3, unique=True))
+                value = draw(rationals)
                 for perm in chosen:
-                    triple[perm] = draw(rationals)
-    if draw(st.booleans()):
-        triple[("Z", basis[0], "Z")] = draw(rationals)
+                    triple[perm] = value
     return ThreefoldProfile(
         basis=basis,
         triple=triple,

@@ -56,15 +56,15 @@ class TestValidation:
         assert violations == ["chiox inconsistency: -24 != -48"]
 
     def test_symmetry_violation(self):
-        p = ThreefoldProfile(
-            basis=("H", "E"),
-            triple={("H", "H", "E"): 1, ("H", "E", "H"): 2},
-            c2_vector={"H": 6},
-            chi_O=1,
-            canonical=-4 * H,
-        )
-        violations = [v for v in p.validate() if "symmetry" in v]
-        assert len(violations) == 1
+        # two orders of one triple with different values are rejected at the door
+        with pytest.raises(ValueError, match=r"triple \('E', 'H', 'H'\) is given two values, 1 and 2"):
+            ThreefoldProfile(
+                basis=("H", "E"),
+                triple={("H", "H", "E"): 1, ("H", "E", "H"): 2},
+                c2_vector={"H": 6},
+                chi_O=1,
+                canonical=-4 * H,
+            )
 
     def test_non_integer_chi(self):
         p = p3_profile(chi_O=Fraction(1, 2), c2_vector={"H": 3})
@@ -73,15 +73,18 @@ class TestValidation:
     def test_unknown_symbols_reported(self):
         p = ThreefoldProfile(
             basis=("H",),
-            triple={("H", "H", "X"): 1},
+            triple={("H", "H", "H"): 1},
             c2_vector={"Y": 1},
             chi_O=0,
             canonical=DivisorExpr.symbol("Z"),
             named_divisors={"bad": DivisorExpr.symbol("W")},
         )
         text = "\n".join(p.validate())
-        for sym in "XYZW":
+        for sym in "YZW":
             assert f"unknown symbol '{sym}'" in text
+        # an off-basis triple key is no violation but a rejected profile
+        with pytest.raises(ValueError, match=r"triple key \('H', 'H', 'X'\) is not three basis symbols"):
+            ThreefoldProfile(basis=("H",), triple={("H", "H", "X"): 1})
 
     def test_unknown_symbol_in_a_flag_subject(self):
         X = DivisorExpr.symbol("X")

@@ -1,13 +1,14 @@
 """Profile construction, copies, parsing and serialization against the code they replaced.
 
-The constructor builds the stored tensor and its symmetrised view in one
-pass and records the triples stored under several permutations, which is
-all `validate` compares.  `with_flags` and `with_named_divisors` copy the
-validated data instead of rebuilding it.  `profile_from_dict` reads each
-triple record in one loop, and `serialize_profile` takes its triple
-records from the symmetrised view.  The reference functions below are those of the code
-before, kept verbatim: every result, every rejection (type and message)
-and every byte must equal theirs.
+The constructor keeps the triple tensor once, on sorted symbol triples,
+and rejects two orders of one triple with different values and keys off
+the basis.  `with_flags` and `with_named_divisors` copy the validated data
+instead of rebuilding it.  `profile_from_dict` reads each triple record in
+one loop, and `serialize_profile` takes its triple records from the
+tensor.  The reference functions below are those of the code before, kept
+verbatim but for the triple checks the constructor now makes: every
+result, every rejection (type and message) and every byte must equal
+theirs.
 """
 
 import json
@@ -15,7 +16,6 @@ import random
 from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +26,6 @@ from adjoint3 import (
     FlagKind,
     PositivityFlag,
     ThreefoldProfile,
-    UnknownSymbolError,
     flag,
     format_divisor,
     parse_profile,
@@ -45,25 +44,23 @@ from adjoint3.profile_io import (
 # -- the reference code -----------------------------------------------------------
 
 
-def reference_symmetric(p):
-    """The symmetrisation loop: smallest stored permutation of each triple wins."""
-    sym = {}
-    for key in sorted(p.triple):
-        skey = tuple(sorted(key))
-        if skey not in sym:
-            sym[skey] = p.triple[key]
-    return sym
-
-
-def reference_symmetric_triple(self):
-    return {k: v for k, v in reference_symmetric(self).items() if v != 0}
+def reference_grouping(basis, items):
+    """The tensor of (key, value) pairs grouped by sorted key, zeros dropped;
+    None when one group holds two different values or a key names a symbol
+    outside ``basis``."""
+    groups = {}
+    for key, value in items:
+        groups.setdefault(tuple(sorted(key)), set()).add(rat(value))
+    if any(len(values) > 1 for values in groups.values()):
+        return None
+    if any(s not in basis for key in groups for s in key):
+        return None
+    return {key: value for key, (value,) in groups.items() if value}
 
 
 def reference_serialize(p):
-    """The text, or the error, of the code before: `reference_to_dict` over
-    the view in which triples come in the order of their smallest stored key."""
-    with mock.patch.object(ThreefoldProfile, "symmetric_triple", reference_symmetric_triple):
-        return json.dumps(reference_to_dict(p), indent=2) + "\n"
+    """The text of the code before."""
+    return json.dumps(reference_to_dict(p), indent=2) + "\n"
 
 
 def reference_flag_record(f: PositivityFlag, basis: Sequence[str]) -> dict:
@@ -76,10 +73,7 @@ def reference_to_dict(p: ThreefoldProfile) -> dict:
     """JSON-ready canonical representation of a profile."""
     index = {s: i for i, s in enumerate(p.basis)}
     triple_records = []
-    for key, value in p.symmetric_triple().items():
-        for s in key:
-            if s not in index:
-                raise UnknownSymbolError(s, "profile serialization")
+    for key, value in p.triple.items():
         i, j, k = sorted(index[s] for s in key)
         triple_records.append({"i": i, "j": j, "k": k, "value": format_rational(value)})
     triple_records.sort(key=lambda r: (r["i"], r["j"], r["k"]))
@@ -197,17 +191,13 @@ def reference_from_dict(obj: object) -> ThreefoldProfile:
 def reference_validate(self) -> list[str]:
     """All invariant violations, as human-readable records.
 
-    An empty list certifies: symbols known, triple symmetric as stored,
-    the canonical class pairs with c2 to -24 * chi_O, and chi_O is an
-    integer.  Violations are data, not failures.
+    An empty list certifies: symbols known, the canonical class pairs with
+    c2 to -24 * chi_O, and chi_O is an integer.  Violations are data, not
+    failures.
     """
     out: list[str] = []
     basis = set(self.basis)
 
-    for key in self.triple:
-        for s in key:
-            if s not in basis:
-                out.append(f"unknown symbol '{s}' in triple entry {key}")
     for s in self.c2_vector:
         if s not in basis:
             out.append(f"unknown symbol '{s}' in c2 vector")
@@ -225,19 +215,6 @@ def reference_validate(self) -> list[str]:
             for s in sorted(f.subject.symbols()):
                 if s not in basis:
                     out.append(f"unknown symbol '{s}' in flag {f}")
-
-    groups: dict[tuple[str, str, str], list[tuple[tuple[str, str, str], Fraction]]] = {}
-    for key, value in self.triple.items():
-        groups.setdefault(tuple(sorted(key)), []).append((key, value))
-    for skey in sorted(groups):
-        entries = sorted(groups[skey])
-        baseline_key, baseline_value = entries[0]
-        for key, value in entries[1:]:
-            if value != baseline_value:
-                out.append(
-                    "triple symmetry violation: "
-                    f"T{baseline_key}={baseline_value} but T{key}={value}"
-                )
 
     if not unknown_core:
         lhs = self.c2_pair(self.canonical)
@@ -270,11 +247,10 @@ def _divisor(rng, basis):
     return DivisorExpr({s: _value(rng) for s in chosen})
 
 
-def random_profile(rng, n, symbols=GRAMMAR_SYMBOLS, several=False, off_basis=False, names=NAMES):
+def random_profile(rng, n, symbols=GRAMMAR_SYMBOLS, several=False, names=NAMES):
     """A profile on n of ``symbols``: missing entries, and with ``several``
-    triples stored under several permutations with conflicting values; with
-    ``off_basis`` entries on a symbol outside the basis too.  Its named
-    divisors take names from ``names``."""
+    triples given under several permutations, each with the triple's one
+    value.  Its named divisors take names from ``names``."""
     basis = rng.sample(symbols, n)
     triple = {}
     for i in range(n):
@@ -284,13 +260,9 @@ def random_profile(rng, n, symbols=GRAMMAR_SYMBOLS, several=False, off_basis=Fal
                     continue
                 key = (basis[i], basis[j], basis[k])
                 perms = sorted(set(permutations(key))) if several else [key]
+                value = _value(rng)
                 for perm in rng.sample(perms, rng.randint(1, min(3, len(perms)))):
-                    triple[perm] = _value(rng)
-    if off_basis:
-        for _ in range(rng.randint(1, 3)):
-            key = ["Zz", rng.choice(basis), rng.choice(("Zz", "Yy"))]
-            rng.shuffle(key)
-            triple[tuple(key)] = _value(rng)
+                    triple[perm] = value
     flags = [
         flag(rng.choice(DIVISOR_KINDS), _divisor(rng, basis)) for _ in range(rng.randint(0, 3))
     ]
@@ -330,13 +302,6 @@ def test_serialize_writes_the_json_dumps_layout(n, seed, escaped, several):
     p = random_profile(rng, n, several=several,
                        names=ESCAPED_SYMBOLS + NAMES if escaped else NAMES)
     assert serialize_profile(p) == reference_serialize(p)
-
-
-@settings(max_examples=60, deadline=None)
-@given(sizes, seeds)
-def test_serialize_rejects_the_same_off_basis_symbol(n, seed):
-    p = random_profile(random.Random(seed), n, several=True, off_basis=True)
-    assert outcome(lambda: serialize_profile(p)) == outcome(lambda: reference_serialize(p))
 
 
 def test_serialize_edge_profiles():
@@ -436,7 +401,7 @@ def test_true_and_one_do_not_share_a_converted_value():
 @given(sizes, seeds, st.booleans())
 def test_copies_equal_constructed_profiles_and_share_their_data(n, seed, replace):
     rng = random.Random(seed)
-    p = random_profile(rng, n, several=True, off_basis=rng.random() < 0.3)
+    p = random_profile(rng, n, several=True)
     new_flags = [flag(rng.choice(DIVISOR_KINDS), _divisor(rng, p.basis)), flag(FlagKind.UNIRULED)]
     named = {"A": _divisor(rng, p.basis), "N": {p.basis[0]: Fraction(1, 2)}}
 
@@ -461,7 +426,7 @@ def test_copies_equal_constructed_profiles_and_share_their_data(n, seed, replace
         assert outcome(lambda: serialize_profile(copy)) == outcome(
             lambda: serialize_profile(expected)
         )
-        assert copy._sym_triple is p._sym_triple
+        assert copy.triple is p.triple
         assert copy._compiled is p._compiled
     assert isinstance(named_copy.named_divisors["N"], DivisorExpr)
 
@@ -481,33 +446,74 @@ def test_copies_still_reject_what_the_constructor_rejects():
     assert p.flags == frozenset() and dict(p.named_divisors) == {}
 
 
-# -- (d) symmetrisation and validation ----------------------------------------------------
+# -- (d) the tensor and validation --------------------------------------------------------
+
+
+def _value_text(rng, value):
+    """``value`` as one of the inputs `rat` reads."""
+    return rng.choice((value, format_rational(value), Fraction(value)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes, seeds, st.booleans(), st.booleans())
+def test_constructor_rejects_exactly_conflicting_or_off_basis_keys(n, seed, conflicts, off_basis):
+    rng = random.Random(seed)
+    basis = rng.sample(GRAMMAR_SYMBOLS, n)
+    symbols = basis + ["Zz", "Yy"] if off_basis else basis
+    one_value = {}  # sorted key -> its value, when orders must agree
+    pairs = []
+    for _ in range(rng.randint(0, 3 * n)):
+        key = tuple(rng.choice(symbols) for _ in range(3))
+        value = one_value.setdefault(tuple(sorted(key)), rng.randint(-2, 2))
+        if conflicts and rng.random() < 0.3:
+            value = rng.randint(-2, 2)
+        pairs.append((key, _value_text(rng, Fraction(value, 1))))
+    # the same keys under other orders, and exact repeats
+    for key, value in rng.sample(pairs, min(len(pairs), 4)):
+        pairs.append((tuple(rng.sample(key, 3)), value))
+    rng.shuffle(pairs)
+    for triple in (pairs, dict(pairs)):
+        items = triple.items() if isinstance(triple, dict) else triple
+        expected = reference_grouping(basis, items)
+        if expected is None:
+            with pytest.raises(ValueError):
+                ThreefoldProfile(basis, triple)
+        else:
+            assert dict(ThreefoldProfile(basis, triple).triple) == expected
 
 
 @settings(max_examples=120, deadline=None)
 @given(sizes, seeds, st.booleans())
-def test_symmetrised_view_and_validate_equal_the_reference(n, seed, off_basis):
+def test_symmetrised_view_and_validate_equal_the_reference(n, seed, several):
     rng = random.Random(seed)
-    p = random_profile(rng, n, several=True, off_basis=off_basis)
-    assert p._sym_triple == reference_symmetric(p)
-    assert p.symmetric_triple() == {k: v for k, v in reference_symmetric(p).items() if v}
+    p = random_profile(rng, n, several=several)
+    assert dict(p.triple) == reference_grouping(p.basis, p.triple.items())
+    assert all(a <= b <= c for a, b, c in p.triple)
     assert p.validate() == reference_validate(p)
-    # the same entries given as pairs, some keys repeated with new values
-    pairs = list(p.triple.items())
-    pairs += [(key, _value(rng)) for key, _ in rng.sample(pairs, min(len(pairs), 4))]
+    # the same entries given as pairs under other orders, some keys repeated
+    pairs = [(tuple(rng.sample(key, 3)), value) for key, value in p.triple.items()]
+    pairs += rng.sample(pairs, min(len(pairs), 4))
     rng.shuffle(pairs)
     q = ThreefoldProfile(p.basis, pairs, p.c2_vector, p.chi_O, p.canonical, p.flags)
-    assert dict(q.triple) == dict(pairs)
-    assert q._sym_triple == reference_symmetric(q)
+    assert dict(q.triple) == dict(p.triple)
     assert q.validate() == reference_validate(q)
 
 
-def test_conflicting_permutations_are_reported_in_order():
+def test_conflicting_permutations_are_rejected():
+    H, E = DivisorExpr.symbol("H"), DivisorExpr.symbol("E")
+    triple = {("H", "E", "H"): 2, ("E", "H", "H"): 1, ("H", "H", "E"): 3, ("E", "E", "E"): 1}
+    with pytest.raises(ValueError, match=r"triple \('E', 'H', 'H'\) is given two values, 2 and 1"):
+        ThreefoldProfile(basis=["H", "E"], triple=triple)
+    with pytest.raises(ValueError, match=r"triple \('H', 'H', 'H'\) is given two values, 1 and 2"):
+        ThreefoldProfile(basis=["H"], triple=[(("H", "H", "H"), 1), (("H", "H", "H"), "2/1")])
+    # agreeing orders are one entry, and a zero is dropped after the check
     p = ThreefoldProfile(
         basis=["H", "E"],
-        triple={("H", "E", "H"): 2, ("E", "H", "H"): 1, ("H", "H", "E"): 3, ("E", "E", "E"): 1},
+        triple={("H", "E", "H"): 1, ("E", "H", "H"): "1/1", ("H", "H", "E"): Fraction(2, 2),
+                ("E", "E", "H"): 0, ("E", "H", "E"): 0},
     )
-    assert p.validate() == reference_validate(p)
-    assert p.validate()[0] == "triple symmetry violation: T('E', 'H', 'H')=1 but T('H', 'E', 'H')=2"
-    assert parse_profile(serialize_profile(p)).triple_eval(*[DivisorExpr.symbol("H")] * 2,
-                                                           DivisorExpr.symbol("E")) == 1
+    assert dict(p.triple) == {("E", "H", "H"): 1}
+    assert parse_profile(serialize_profile(p)).triple_eval(H, H, E) == 1
+    with pytest.raises(ValueError, match="is given two values, 0 and 1"):
+        ThreefoldProfile(basis=["H", "E"], triple={("E", "E", "H"): 0, ("E", "H", "E"): 1})
+

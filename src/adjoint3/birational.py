@@ -14,6 +14,11 @@ basis (exceptional coefficient zero).  Variety-level flags (uniruledness,
 irregularity, generic nefness of the cotangent bundle) are birational
 invariants and are transported; divisor-level flags are dropped because
 pull-backs of ample classes are merely nef.
+
+A blow-up does not rebuild its profile: it shares the parent's validated
+data and adds only the exceptional triple entries, the new c2 vector and
+the new canonical class (`ThreefoldProfile._extended`), so no inherited
+entry is checked again.
 """
 
 from __future__ import annotations
@@ -51,17 +56,11 @@ class BlowupMap(NamedTuple):
     center: CurveCenter | None = None
 
 
-def _blown_up(p: ThreefoldProfile, e: str, triple, c2, canonical) -> ThreefoldProfile:
-    """The profile over the basis extended by ``e``, with the transported flags."""
-    return ThreefoldProfile(
-        basis=p.basis + (e,),
-        triple=triple,
-        c2_vector=c2,
-        chi_O=p.chi_O,
-        canonical=canonical,
-        flags=frozenset(f for f in p.flags if f.kind in VARIETY_LEVEL_KINDS),
-        named_divisors=p.named_divisors,
-    )
+def _blown_up(p: ThreefoldProfile, e: str, entries, c2, canonical) -> ThreefoldProfile:
+    """``p`` over the basis extended by ``e``, its triple entries plus the
+    exceptional ``entries``, with the transported flags."""
+    flags = frozenset(f for f in p.flags if f.kind in VARIETY_LEVEL_KINDS)
+    return p._extended(e, entries, c2, canonical, flags)
 
 
 def _check_new_symbol(p: ThreefoldProfile, new_symbol: str) -> None:
@@ -87,10 +86,9 @@ def blow_up_point(
     """
     _check_new_symbol(p, new_symbol)
     e = new_symbol
-    triple = dict(p.triple)
-    triple[(e, e, e)] = Fraction(1)
     c2 = {s: v for s, v in p.c2_vector.items() if v != 0}
-    source = _blown_up(p, e, triple, c2, p.canonical + DivisorExpr.symbol(e, 2))
+    canonical = p.canonical + DivisorExpr.symbol(e, 2)
+    source = _blown_up(p, e, {(e, e, e): Fraction(1)}, c2, canonical)
     return source, BlowupMap(source=source, target=p, exceptional=e)
 
 
@@ -126,11 +124,8 @@ def blow_up_curve(
     canonical_dot_curve = sum(
         (c * deg[s] for s, c in p.canonical.items()), Fraction(0)
     )
-    triple = dict(p.triple)
-    for s in p.basis:
-        if deg[s] != 0:
-            triple[tuple(sorted((s, e, e)))] = -deg[s]
-    triple[(e, e, e)] = -(2 * genus - 2 - canonical_dot_curve)
+    entries = {tuple(sorted((s, e, e))): -deg[s] for s in p.basis}
+    entries[(e, e, e)] = -(2 * genus - 2 - canonical_dot_curve)
 
     c2 = {}
     for s in p.basis:
@@ -140,7 +135,7 @@ def blow_up_curve(
     if canonical_dot_curve != 0:
         c2[e] = -canonical_dot_curve
 
-    source = _blown_up(p, e, triple, c2, p.canonical + DivisorExpr.symbol(e))
+    source = _blown_up(p, e, entries, c2, p.canonical + DivisorExpr.symbol(e))
     center = CurveCenter(genus=genus, degrees=tuple(sorted(deg.items())))
     return source, BlowupMap(source=source, target=p, exceptional=e, center=center)
 

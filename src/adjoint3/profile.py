@@ -27,8 +27,15 @@ value of the triple in every order of i, j and k.  Evaluations multiply
 integers and build one `Fraction` at the end, so they return the very
 rationals the `Fraction` arithmetic would.  Copies made by `with_flags`
 and `with_named_divisors` share all validated data, the compiled form
-included, and check only the flags and divisors they add; construction,
-parsing, validation, serialization and blow-ups never compile.
+included, and check only the flags and divisors they add.  A blow-up
+(`birational`) extends its parent the same way: it shares the parent's
+validated triple values, named divisors and flags, takes its computed c2
+vector and canonical class as given, and checks only the exceptional
+entries it adds, whose keys must be sorted and name the new symbol, so
+that no inherited entry is replaced; zero entries are dropped as the
+constructor drops them, and the grown basis gets a compiled form of its
+own.  Construction, parsing, validation, serialization and blow-ups
+never compile.
 """
 
 from __future__ import annotations
@@ -374,6 +381,32 @@ class ThreefoldProfile(_Record):
             setattr(copy, name, getattr(self, name))
         copy.flags = flags
         copy.named_divisors = named_divisors
+        return copy
+
+    def _extended(
+        self,
+        symbol: str,
+        entries: Mapping[tuple[str, str, str], Fraction],
+        c2_vector: dict[str, Fraction],
+        canonical: DivisorExpr,
+        flags: frozenset[PositivityFlag],
+    ) -> "ThreefoldProfile":
+        # a blow-up of this profile (see the module docstring); the caller
+        # checks that ``symbol`` is a new grammar symbol
+        copy = self._derived(flags, self.named_divisors)
+        copy.basis = basis = self.basis + (symbol,)
+        symbols = frozenset(basis)
+        triple = self.triple.copy()  # the dict's own copy; dict(proxy) reads item by item
+        for key, value in entries.items():
+            a, b, c = key
+            if not (symbol in key and a <= b <= c and symbols.issuperset(key)):
+                raise ValueError(f"triple key {key!r} is not sorted basis symbols with {symbol!r}")
+            if value:
+                triple[key] = value
+        copy.triple = MappingProxyType(triple)
+        copy.c2_vector = MappingProxyType(c2_vector)
+        copy.canonical = canonical
+        copy._compiled = [None]
         return copy
 
     def with_flags(self, *new_flags: PositivityFlag, replace: bool = False):

@@ -15,16 +15,18 @@ each field but ``triple`` as ``json.dumps(value, indent=2)`` indented one
 level.  The ``triple`` records, taken from the profile's tensor in sorted
 index order, hold only integers and ``p/q`` strings, so one ``%``
 template writes each record, and each distinct value is formatted once.
-Parsing reads each triple record in one pass and converts each distinct
-value string once, since the values of a triple tensor are mostly a few
-small numbers.  A file that is not UTF-8 text or not JSON, nested too
-deep to read included, is a `ProfileFormatError`.
+Parsing reads each triple record in one pass, its four fields with one
+lookup, and converts each distinct value string once, since the values of
+a triple tensor are mostly a few small numbers.  A file that is not UTF-8
+text or not JSON, nested too deep to read included, is a
+`ProfileFormatError`.
 
 Divisor expressions use the grammar ``coef*SYM (+|-) ...`` with rational
 coefficients ``p/q``; whitespace is insignificant, the star is optional,
-and a bare symbol means coefficient one.  `parse_divisor` reads each
-coefficient its term pattern matched with `core.rat`, and raises
-`DivisorParseError` for one of more digits than `int` converts.
+and a bare symbol means coefficient one.  `parse_divisor` converts the
+``p/q`` text its term pattern matched as ``Fraction(int(p), int(q))``,
+without matching it again, and raises `DivisorParseError` for a zero
+denominator or for a number of more digits than `int` converts.
 `resolve_divisor` additionally accepts names of stored divisors and the
 canonical class ``K``.
 """
@@ -34,6 +36,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .core import (
@@ -83,8 +86,9 @@ def parse_divisor(text: str) -> DivisorExpr:
             raise DivisorParseError(
                 f"term without a symbol in '{text}' at position {pos}"
             )
+        numerator, _, denominator = (coef or "1").partition("/")
         try:
-            value = rat(coef or "1")
+            value = Fraction(int(numerator), int(denominator or 1))
         except ZeroDivisionError as exc:
             raise DivisorParseError(
                 f"zero denominator in '{text}' at position {pos}"
@@ -175,18 +179,22 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
         raise ProfileFormatError("'triple' must be a list of {i, j, k, value} records")
     n = len(basis)
     values: dict[str, Fraction] = {}  # each distinct value string, converted once
+    read_record = itemgetter("i", "j", "k", "value")
     for record in records:
-        if not isinstance(record, dict) or not {"i", "j", "k", "value"} <= record.keys():
-            raise ProfileFormatError(f"bad triple record: {record!r}")
-        i, j, k, text = record["i"], record["j"], record["k"], record["value"]
+        try:
+            i, j, k, text = read_record(record)
+        except (TypeError, KeyError) as exc:  # not a JSON object, or a field missing
+            raise ProfileFormatError(f"bad triple record: {record!r}") from exc
         if type(i) is not int or type(j) is not int or type(k) is not int:
             raise ProfileFormatError(f"triple indices must be integers: {record!r}")
-        try:
-            value = values[text] if type(text) is str and text in values else rat(text)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ProfileFormatError(f"bad triple record {record!r}: {exc}") from exc
-        if type(text) is str:
-            values[text] = value
+        value = values.get(text) if type(text) is str else None
+        if value is None:
+            try:
+                value = rat(text)
+            except (ValueError, ZeroDivisionError, TypeError) as exc:
+                raise ProfileFormatError(f"bad triple record {record!r}: {exc}") from exc
+            if type(text) is str:
+                values[text] = value
         if not 0 <= i <= j <= k < n:
             in_range = 0 <= min(i, j, k) and max(i, j, k) < n
             what = "must be sorted, i <= j <= k" if in_range else "out of range"

@@ -2,9 +2,10 @@
 
 The constructor keeps the triple tensor once, on sorted symbol triples,
 and rejects two orders of one triple with different values and keys off
-the basis.  `with_flags` and `with_named_divisors` copy the validated data
-instead of rebuilding it.  `profile_from_dict` reads each triple record in
-one loop, and `serialize_profile` takes its triple records from the
+the basis.  `with_flags`, `with_named_divisors` and the blow-ups copy the
+validated data instead of rebuilding it; a blow-up must equal the profile
+the constructor builds from the same fields.  `profile_from_dict` reads
+each triple record in one loop, and `serialize_profile` takes its triple records from the
 tensor.  The reference functions below are those of the code before, kept
 verbatim but for the triple checks the constructor now makes: every
 result, every rejection (type and message) and every byte must equal
@@ -16,16 +17,20 @@ import random
 from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adjoint3.birational as birational
 from adjoint3 import (
     DivisorExpr,
     FlagKind,
     PositivityFlag,
     ThreefoldProfile,
+    blow_up_curve,
+    blow_up_point,
     flag,
     format_divisor,
     parse_profile,
@@ -382,6 +387,29 @@ def test_malformed_records_raise_what_the_reference_raises(n, seed, changes):
     _same_parse(obj)
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        [0, 0, 0, "1/1"],
+        "0 0 0 1/1",
+        5,
+        None,
+        {"i": 0, "j": 0, "k": 1},
+        {"i": 0, "j": 0, "k": 1, "value": "2/3", "note": "kept"},
+        {"i": True, "j": 0, "k": 1, "value": "1/1"},
+        {"i": 0, "j": 0, "k": 1, "value": [1]},
+        {"i": 0, "j": 0, "k": 1, "value": 1.5},
+        {"i": 0, "j": 0, "k": 1, "value": -3},
+        {"i": 0, "j": 0, "k": 1, "value": "1/1"},  # a string read before
+    ],
+    ids=["list", "string", "number", "null", "no-value", "extra-key", "true-index",
+         "list-value", "float-value", "int-value", "repeated-string"],
+)
+def test_each_record_shape_reads_as_the_reference_reads(record):
+    obj = {"basis": ["H", "E"], "triple": [{"i": 0, "j": 0, "k": 0, "value": "1/1"}, record]}
+    _same_parse(obj)
+
+
 def test_true_and_one_do_not_share_a_converted_value():
     for values in ((1, True), (True, 1), ("1", 1, True)):
         obj = {
@@ -444,6 +472,135 @@ def test_copies_still_reject_what_the_constructor_rejects():
         lambda: ThreefoldProfile(basis=["H"], triple={}, flags=["Ample"])
     )
     assert p.flags == frozenset() and dict(p.named_divisors) == {}
+
+
+def reference_blown_up(p, e, entries, c2, canonical):
+    """The blown-up profile as the constructor builds it from the same fields."""
+    return ThreefoldProfile(
+        basis=p.basis + (e,),
+        triple={**p.triple, **entries},
+        c2_vector=c2,
+        chi_O=p.chi_O,
+        canonical=canonical,
+        flags=frozenset(f for f in p.flags if f.kind in VARIETY_LEVEL_KINDS),
+        named_divisors=p.named_divisors,
+    )
+
+
+# symbols no basis holds; each may name the exceptional divisor too
+OFF_BASIS = ("Zz", "Yy", "E1")
+
+
+def _off_basis_parent(rng, p):
+    """``p`` with off-basis symbols in some of its c2 vector, canonical class,
+    named divisors and flag subjects, which the constructor accepts."""
+    def stray():
+        return {rng.choice(OFF_BASIS): _value(rng) or Fraction(1)}
+
+    c2 = dict(p.c2_vector)
+    if rng.random() < 0.5:
+        c2.update(stray())
+    canonical = p.canonical + DivisorExpr(stray()) if rng.random() < 0.5 else p.canonical
+    named = dict(p.named_divisors)
+    if rng.random() < 0.5:
+        named["S"] = DivisorExpr(stray())
+    flags = set(p.flags)
+    if rng.random() < 0.5:
+        flags.add(flag(rng.choice(DIVISOR_KINDS), DivisorExpr(stray())))
+    return ThreefoldProfile(p.basis, p.triple, c2, p.chi_O, canonical, flags, named)
+
+
+def _curve_data(rng, p, rational):
+    """A genus and degrees over ``p``'s basis: zero ones among them, and now and
+    then adjusted so that 2g - 2 = K.C, which makes E^3 zero."""
+    genus = rng.randint(0, 3)
+    degrees = {
+        s: Fraction(rng.randint(-3, 6), rng.choice((1, 2, 3)) if rational else 1)
+        if rng.random() < 0.7 else Fraction(0)
+        for s in p.basis
+    }
+    pivots = [s for s in p.basis if p.canonical.coefficients.get(s)]
+    if pivots and rng.random() < 0.4 and set(p.canonical.symbols()) <= set(p.basis):
+        s = rng.choice(pivots)
+        k_dot_c = sum(c * degrees[t] for t, c in p.canonical.items())
+        degrees[s] += (2 * genus - 2 - k_dot_c) / p.canonical.coefficients[s]
+    return genus, degrees
+
+
+def assert_same_profile(actual, expected):
+    """Equal as profiles, as tensors, as file bytes and as validation reports."""
+    assert actual == expected
+    assert dict(actual.triple) == dict(expected.triple)
+    assert outcome(lambda: serialize_profile(actual)) == outcome(
+        lambda: serialize_profile(expected)
+    )
+    assert actual.validate() == expected.validate() == reference_validate(actual)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 8), seeds, st.booleans(), st.booleans())
+def test_blow_ups_equal_the_constructed_profile(n, seed, off_basis, rational):
+    rng = random.Random(seed)
+    parent = random_profile(rng, n, several=True)
+    if off_basis:
+        parent = _off_basis_parent(rng, parent)
+    e1, e2 = rng.sample(("E1", "A", "zz", "_e", "Zz"), 2)
+    if e1 in parent.basis or e2 in parent.basis:
+        return
+
+    def blow_ups():
+        point = outcome(lambda: blow_up_point(parent, e1)[0])
+        curve = outcome(lambda: blow_up_curve(parent, e1, *curve_data[0])[0])
+        then = point[1] if point[0] == "value" else None
+        twice = outcome(lambda: blow_up_curve(then, e2, *curve_data[1])[0])
+        return point, curve, twice
+
+    point_parent = blow_up_point(parent, e1)[0]
+    curve_data = [_curve_data(rng, parent, rational), _curve_data(rng, point_parent, rational)]
+    actual = blow_ups()
+    with mock.patch.object(birational, "_blown_up", reference_blown_up):
+        expected = blow_ups()
+    for got, want in zip(actual, expected):
+        assert got[:2] == want[:2]
+        if got[0] == "value":
+            assert_same_profile(got[1], want[1])
+            assert got[1]._compiled is not parent._compiled
+        else:
+            assert got == want
+    # the inherited values are the parent's own objects
+    point = actual[0][1]
+    assert all(point.triple[key] is value for key, value in parent.triple.items())
+
+
+def test_blow_up_of_a_compiled_parent_compiles_its_own_tensor():
+    rng = random.Random(11)
+    parent = random_profile(rng, 6, several=True)
+    basis = parent.basis
+    probes = [(_divisor(rng, basis), _divisor(rng, basis), _divisor(rng, basis)) for _ in range(5)]
+    before = [parent.triple_eval(*d) for d in probes]  # compiles the parent
+    degrees = {s: Fraction(rng.randint(-2, 4), 2) for s in basis}
+    children = [blow_up_point(parent, "Ex")[0], blow_up_curve(parent, "Ex", 1, degrees)[0]]
+    with mock.patch.object(birational, "_blown_up", reference_blown_up):
+        expected = [blow_up_point(parent, "Ex")[0], blow_up_curve(parent, "Ex", 1, degrees)[0]]
+    E = DivisorExpr.symbol("Ex")
+    for child, built in zip(children, expected):
+        for d1, d2, d3 in probes + [(E, E, E)]:
+            for args in ((d1, d2, d3), (d1 + E, d2 - 2 * E, E), (E, E, d3)):
+                assert child.triple_eval(*args) == built.triple_eval(*args)
+        assert child.triple_eval(E, E, E) == built.triple.get(("Ex", "Ex", "Ex"), 0)
+    assert [parent.triple_eval(*d) for d in probes] == before
+    assert parent._tensor().position == {s: i for i, s in enumerate(basis)}
+
+
+def test_extension_rejects_entries_that_could_replace_inherited_ones():
+    p = ThreefoldProfile(basis=["H"], triple={("H", "H", "H"): 1})
+    for key in (("H", "H", "H"), ("H", "E", "E"), ("E", "E", "Q")):
+        with pytest.raises(ValueError, match="is not sorted basis symbols with 'E'"):
+            p._extended("E", {key: Fraction(1)}, {}, p.canonical, frozenset())
+    q = p._extended("E", {("E", "H", "H"): Fraction(0), ("E", "E", "E"): Fraction(2)},
+                    {}, p.canonical, frozenset())
+    assert dict(q.triple) == {("H", "H", "H"): 1, ("E", "E", "E"): 2}
+    assert dict(p.triple) == {("H", "H", "H"): 1} and p.basis == ("H",)
 
 
 # -- (d) the tensor and validation --------------------------------------------------------

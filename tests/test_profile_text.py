@@ -1,8 +1,7 @@
 """Profile text against the code it replaced, and inputs it once let escape.
 
-`parse_divisor` reads each coefficient its term pattern matched as
-``Fraction(int(p), int(q))``; the reference below is the code before, kept
-verbatim, which matched the coefficient again through `rat`.  Every
+The reference below is the `parse_divisor` before, kept verbatim, which
+read each coefficient its term pattern matched again through `rat`.  Every
 divisor text must give an equal `DivisorExpr`, or the same exception type
 and message.  `serialize_profile` writes the outer layout and the
 ``triple`` records itself; its text must be the very text
@@ -52,7 +51,6 @@ def reference_parse_divisor(text: str) -> DivisorExpr:
         return DivisorExpr.zero()
     terms: list[tuple[str, Fraction]] = []
     pos = 0
-    first = True
     while pos < len(compact):
         m = _TERM_RE.match(compact, pos)
         if m is None or m.end() == pos:
@@ -62,19 +60,20 @@ def reference_parse_divisor(text: str) -> DivisorExpr:
             raise DivisorParseError(
                 f"term without a symbol in '{text}' at position {pos}"
             )
-        if not first and sign is None:
-            raise DivisorParseError(
-                f"missing '+' or '-' between terms in '{text}' at position {pos}"
-            )
         try:
-            value = rat(coef) if coef is not None else Fraction(1)
+            value = rat(coef or "1")
         except ZeroDivisionError as exc:
-            raise DivisorParseError(f"zero denominator in '{text}' at position {pos}") from exc
+            raise DivisorParseError(
+                f"zero denominator in '{text}' at position {pos}"
+            ) from exc
+        except ValueError as exc:  # more digits than int() converts
+            raise DivisorParseError(
+                f"cannot read the coefficient in '{text}' at position {pos}: {exc}"
+            ) from exc
         if sign == "-":
             value = -value
         terms.append((sym, value))
         pos = m.end()
-        first = False
     return DivisorExpr(terms)
 
 
@@ -172,10 +171,12 @@ def test_parse_divisor_cases_the_grammar_names():
         "H - H": {},
         "-0*H": {},
         "007/014*E": {"E": Fraction(1, 2)},
+        "007/002*E": {"E": Fraction(7, 2)},
+        "0/5*H + E": {"E": 1},
     }
     for text, coefficients in cases.items():
         assert parse_divisor(text) == DivisorExpr(coefficients) == reference_parse_divisor(text)
-    for text in ("1/2", "1/0*H", "2H+", "٣H", "H#", "2*H 3*E"):
+    for text in ("1/2", "1/0*H", "H - 1/0*E", "2H+", "٣H", "H#", "2*H 3*E"):
         assert outcome(lambda: parse_divisor(text)) == outcome(
             lambda: reference_parse_divisor(text)
         )
@@ -195,6 +196,12 @@ def test_long_coefficient_is_a_divisor_parse_error():
             parse_divisor(f"H+{_LONG_COEFFICIENT}*E")
         with pytest.raises(DivisorParseError, match="position 0"):
             parse_divisor(f"1/{_LONG_COEFFICIENT}*H")
+        # the default limit: the same message as through `rat`
+        for text in (f"H+{_LONG_COEFFICIENT}*E", f"1/{_LONG_COEFFICIENT}*H",
+                     f"{_LONG_COEFFICIENT}H"):
+            assert outcome(lambda: parse_divisor(text)) == outcome(
+                lambda: reference_parse_divisor(text)
+            )
     with digit_limit(0):
         assert parse_divisor(f"{_LONG_COEFFICIENT}*H") == DivisorExpr({"H": int(_LONG_COEFFICIENT)})
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .core import CalcError, DivisorExpr, RationalInput, UnknownSymbolError, rat
+from .core import CalcError, DivisorExpr, RationalInput, rat
 from .profile import _SYMBOL, VARIETY_LEVEL_KINDS, ThreefoldProfile, _is_symbol
 from .profile_io import DivisorParseError
 
@@ -109,9 +109,7 @@ def blow_up_curve(
     _check_new_symbol(p, new_symbol)
     if not isinstance(genus, int) or genus < 0:
         raise ValueError(f"genus must be a nonnegative integer, got {genus}")
-    for s in degrees:
-        if s not in p.basis:
-            raise UnknownSymbolError(s, "curve degrees")
+    p._check_symbols(degrees, "curve degrees")
     deg: dict[str, Fraction] = {}
     for s in p.basis:
         if s not in degrees:
@@ -145,7 +143,7 @@ def pull_back(m: BlowupMap, D: DivisorExpr) -> DivisorExpr:
 
     Coefficients are unchanged; the exceptional coefficient is zero.
     """
-    m.target._check_symbols(D, "pull_back")
+    m.target._check_symbols(D.symbols(), "pull_back")
     return DivisorExpr(D.coefficients)
 
 

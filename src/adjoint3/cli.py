@@ -212,7 +212,10 @@ def _write_profile(args, inputs: dict, profile: ThreefoldProfile, result: dict):
     """Write the profile to ``--output`` and report it, or return its text."""
     if args.output is None:
         return serialize_profile(profile), EXIT_OK
-    save_profile(profile, args.output)
+    try:
+        save_profile(profile, args.output)
+    except OSError as exc:
+        return _error_report(args.command, exc, inputs=inputs)
     result = {"output": args.output, **result}
     return {"command": args.command, "inputs": inputs, "result": result}, EXIT_OK
 

@@ -17,25 +17,29 @@ canonical divisor expressions; no rescaling is applied.  When several
 declared flags certify the same property, `ThreefoldProfile.find_flag`
 picks one by a fixed rule, so certificates do not depend on set order.
 
-The triple tensor is stored once, on sorted symbol triples with zeros
-dropped: the constructor accepts a triple under any of its orders, and
-raises `ValueError` when two orders of one triple carry different values
-or a key names a symbol outside the basis.  On first evaluation the
-tensor is compiled into an `IntegerTensor`: one common denominator L and
-a dense integer tensor T on basis positions, where T[i][j][k] / L is the
-value of the triple in every order of i, j and k.  Evaluations multiply
-integers and build one `Fraction` at the end, so they return the very
-rationals the `Fraction` arithmetic would.  Copies made by `with_flags`
-and `with_named_divisors` share all validated data, the compiled form
-included, and check only the flags and divisors they add.  A blow-up
-(`birational`) extends its parent the same way: it shares the parent's
-validated triple values, named divisors and flags, takes its computed c2
-vector and canonical class as given, and checks only the exceptional
-entries it adds, whose keys must be sorted and name the new symbol, so
-that no inherited entry is replaced; zero entries are dropped as the
-constructor drops them, and the grown basis gets a compiled form of its
-own.  Construction, parsing, validation, serialization and blow-ups
-never compile.
+The constructor is the one door for basis symbols: a triple key that is
+not three basis symbols raises `ValueError`, and a c2 key, canonical
+class, named divisor (by name) or flag subject (by text) naming another
+symbol raises `UnknownSymbolError`, for the first offender in that order.
+So `validate` checks only the numeric rules.  The triple tensor is stored
+once, on sorted symbol triples with zeros dropped: the constructor
+accepts a triple under any of its orders, and raises `ValueError` when
+two orders of one triple carry different values.  On first evaluation
+the tensor is compiled into an `IntegerTensor`: one common denominator L
+and a dense integer tensor T on basis positions, where T[i][j][k] / L is
+the value of the triple in every order of i, j and k.  Evaluations
+multiply integers and build one `Fraction` at the end, so they return
+the very rationals the `Fraction` arithmetic would.  Copies made by
+`with_flags` and `with_named_divisors` share all validated data, the
+compiled form included, and check only the flags and divisors they add.
+A blow-up (`birational`) extends its parent the same way: it shares the
+parent's validated triple values, named divisors and flags, takes its
+computed c2 vector and canonical class as given, and checks only the
+exceptional entries it adds, whose keys must be sorted and name the new
+symbol, so that no inherited entry is replaced; zero entries are dropped
+as the constructor drops them, and the grown basis gets a compiled form
+of its own.  Construction, parsing, validation, serialization and
+blow-ups never compile.
 """
 
 from __future__ import annotations
@@ -230,6 +234,7 @@ class ThreefoldProfile(_Record):
         "canonical",
         "flags",
         "named_divisors",
+        "_symbols",
         "_compiled",
     )
 
@@ -252,7 +257,7 @@ class ThreefoldProfile(_Record):
                 raise ValueError(f"basis symbol {s!r} does not match {_SYMBOL}")
 
         items = triple.items() if isinstance(triple, Mapping) else triple
-        symbols = frozenset(self.basis)
+        self._symbols = symbols = frozenset(self.basis)
         stored: dict[tuple[str, str, str], Fraction] = {}
         for key, value in items:
             key = tuple(key)
@@ -278,15 +283,31 @@ class ThreefoldProfile(_Record):
         self.flags = _checked_flags(flags)
         named = named_divisors.items() if isinstance(named_divisors, Mapping) else named_divisors
         self.named_divisors = MappingProxyType({n: _coerce_divisor(d) for n, d in named})
+        self._check_symbols(self.c2_vector, "c2 vector")
+        self._check_symbols(self.canonical.symbols(), "canonical class")
+        self._check_subjects(self.named_divisors, self.flags)
         # the IntegerTensor of `triple`, made on first use; shared with derived copies
         self._compiled: list[IntegerTensor | None] = [None]
 
     # -- evaluation ---------------------------------------------------
 
-    def _check_symbols(self, d: DivisorExpr | NumberExpr, where: str) -> None:
-        for s in sorted(d.symbols()):
-            if s not in self.basis:
-                raise UnknownSymbolError(s, where)
+    def _check_symbols(self, symbols: Iterable[str], where: str) -> None:
+        # one set test; the first unknown symbol, in the order given or a set's
+        # sorted order, is looked for only on failure
+        known = self._symbols
+        if not known.issuperset(symbols):
+            ordered = sorted(symbols) if isinstance(symbols, frozenset) else symbols
+            raise UnknownSymbolError(next(s for s in ordered if s not in known), where)
+
+    def _check_subjects(self, named: Mapping[str, DivisorExpr], flags) -> None:
+        # named divisors by name, then flags by text: the first offender raises,
+        # and only offenders are sorted
+        known = self._symbols.issuperset
+        for name in sorted(n for n, d in named.items() if not known(d.symbols())):
+            self._check_symbols(named[name].symbols(), f"named divisor '{name}'")
+        bad = [f for f in flags if f.subject is not None and not known(f.subject.symbols())]
+        for f in sorted(bad, key=str):
+            self._check_symbols(f.subject.symbols(), f"flag {f}")
 
     def _tensor(self) -> IntegerTensor:
         cell = self._compiled
@@ -299,7 +320,7 @@ class ThreefoldProfile(_Record):
     ) -> Fraction:
         """Trilinear, symmetric extension of the stored tensor."""
         for i, d in enumerate((d1, d2, d3), start=1):
-            self._check_symbols(d, f"triple_eval argument {i}")
+            self._check_symbols(d.symbols(), f"triple_eval argument {i}")
         position, denominator, entries = self._tensor()
         vectors = []
         for d in (d1, d2, d3):
@@ -320,12 +341,12 @@ class ThreefoldProfile(_Record):
 
     def c2_pair(self, d: DivisorExpr) -> Fraction:
         """Linear extension of the c2 pairing vector."""
-        self._check_symbols(d, "c2 pairing")
+        self._check_symbols(d.symbols(), "c2 pairing")
         return sum((c * self.c2_vector.get(s, _ZERO) for s, c in d.items()), _ZERO)
 
     def number_eval(self, n: NumberExpr) -> Fraction:
         """Evaluate a symbolic number against this profile."""
-        self._check_symbols(n, "number_eval")
+        self._check_symbols(n.symbols(), "number_eval")
         total = n.constant + n.chi_o_coeff * self.chi_O
         for s, v in n.c2_pairings.items():
             total += v * self.c2_vector.get(s, _ZERO)
@@ -395,7 +416,7 @@ class ThreefoldProfile(_Record):
         # checks that ``symbol`` is a new grammar symbol
         copy = self._derived(flags, self.named_divisors)
         copy.basis = basis = self.basis + (symbol,)
-        symbols = frozenset(basis)
+        copy._symbols = symbols = frozenset(basis)
         triple = self.triple.copy()  # the dict's own copy; dict(proxy) reads item by item
         for key, value in entries.items():
             a, b, c = key
@@ -411,48 +432,25 @@ class ThreefoldProfile(_Record):
 
     def with_flags(self, *new_flags: PositivityFlag, replace: bool = False):
         new = _checked_flags(new_flags)
+        self._check_subjects({}, new)
         return self._derived(new if replace else self.flags | new, self.named_divisors)
 
     def with_named_divisors(self, **named: DivisorExpr):
-        merged = dict(self.named_divisors)
-        merged.update((n, _coerce_divisor(d)) for n, d in named.items())
-        return self._derived(self.flags, MappingProxyType(merged))
+        added = {n: _coerce_divisor(d) for n, d in named.items()}
+        self._check_subjects(added, ())
+        return self._derived(self.flags, MappingProxyType({**self.named_divisors, **added}))
 
     # -- validation ------------------------------------------------------
 
     def validate(self) -> list[str]:
         """All invariant violations, as human-readable records.
 
-        An empty list certifies: the symbols of the c2 vector, the canonical
-        class, the named divisors and the flags are basis symbols, the
-        canonical class pairs with c2 to -24 * chi_O, and chi_O is an
-        integer.  Violations are data, not failures; the triple tensor has
-        none, since the constructor rejects an off-basis or conflicting key.
+        An empty list certifies that the canonical class pairs with c2 to
+        -24 * chi_O and that chi_O is an integer.  Violations are data, not
+        failures; an unknown symbol is none, since the constructor rejects it.
         """
-        out: list[str] = []
-        basis = set(self.basis)
-
-        def unknown(symbols: Iterable[str], where: str) -> None:
-            out.extend(f"unknown symbol '{s}' in {where}" for s in symbols if s not in basis)
-
-        unknown(self.c2_vector, "c2 vector")
-        unknown(sorted(self.canonical.symbols()), "canonical class")
-        unknown_core = bool(out)  # the chiox check below needs these two known
-        for name, d in sorted(self.named_divisors.items()):
-            unknown(sorted(d.symbols()), f"named divisor '{name}'")
-        # the flags test first, since formatting their place costs more; sorted
-        # by their text, which only the flags with an unknown symbol render
-        bad_flags = [f for f in self.flags if f.subject is not None
-                     and not basis.issuperset(f.subject.symbols())]
-        for f in sorted(bad_flags, key=str):
-            unknown(sorted(f.subject.symbols()), f"flag {f}")
-
-        if not unknown_core:
-            lhs = self.c2_pair(self.canonical)
-            rhs = -24 * self.chi_O
-            if lhs != rhs:
-                out.append(f"chiox inconsistency: {lhs} != {rhs}")
-
+        lhs, rhs = self.c2_pair(self.canonical), -24 * self.chi_O
+        out = [] if lhs == rhs else [f"chiox inconsistency: {lhs} != {rhs}"]
         if self.chi_O.denominator != 1:
             out.append(f"chi_O must be an integer, got {self.chi_O}")
         return out

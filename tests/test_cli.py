@@ -71,6 +71,32 @@ class TestValidate:
         assert code == 1
         assert any("chiox" in v for v in report["violations"])
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("named_divisors", {"b": "1/1*H + 1/1*Y", "a": "1/1*X"},
+                         "unknown symbol 'X' in named divisor 'a'", id="named-divisor"),
+            pytest.param("flags", [{"kind": "Nef", "subject": "2/1*X"},
+                                   {"kind": "Big", "subject": "1/1*H + 1/1*Y"}],
+                         "unknown symbol 'Y' in flag Big(H + Y)", id="flag-subject"),
+        ],
+    )
+    def test_off_basis_symbol_is_malformed_input(self, capsys, tmp_path, field, value, message):
+        # once a violation with exit 1; now no profile holds such a symbol
+        obj = json.loads(serialize_profile(get("P3").profile))
+        obj[field] = value
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        for argv in (
+            ["validate", str(path)],
+            ["chi", str(path), "--divisor", "H"],
+            ["blowup", str(path), "--point", "--symbol", "E"],
+        ):
+            code, out = run(capsys, *argv)
+            assert code == 2
+            error = {"type": "ProfileFormatError", "message": message}
+            assert json.loads(out)["error"] == error
+
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -539,7 +565,8 @@ class TestDeterminismAndBatch:
         "case, seeds",
         [
             # unknown symbols were once listed in frozenset order, which moves
-            # with PYTHONHASHSEED (X, Z, Y under seed 1; Y, X, Z under seed 3)
+            # with PYTHONHASHSEED (X, Z, Y under seed 1; Y, X, Z under seed 3);
+            # now the file is rejected, naming the first of them
             pytest.param("validate", ("1", "3"), id="validate"),
             # Nef(2H) was once certified by whichever implying flag came first
             # in frozenset order: Ample(2H) under seed 1, NefAndBig(2H) under 2
@@ -570,14 +597,15 @@ class TestDeterminismAndBatch:
                 [sys.executable, "-m", "adjoint3.cli", *argv, str(path)],
                 env=env, capture_output=True, check=False,
             )
-            assert proc.returncode == (1 if case == "validate" else 0)
+            assert proc.returncode == (2 if case == "validate" else 0)
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         report = json.loads(outputs[0])
         if case == "validate":
-            assert [v for v in report["violations"] if "canonical" in v] == [
-                f"unknown symbol '{s}' in canonical class" for s in "XYZ"
-            ]
+            assert report["error"] == {
+                "type": "ProfileFormatError",
+                "message": "unknown symbol 'X' in canonical class",
+            }
         else:
             assert [h["kind"] for h in report["certificate"]["hypotheses_used"]] == [
                 "Ample", "Ample", "Uniruled", "IrregularityZero"
@@ -648,6 +676,29 @@ def test_os_error_is_one_json_error_with_exit_2(capsys, tmp_path, monkeypatch, a
     report = json.loads(captured.out)
     assert report["command"] == argv[0]
     assert report["error"]["type"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        pytest.param(["catalog", "P3", "-o", "missing/x.json"], {"name": "P3"}, id="catalog"),
+        pytest.param(["blowup", "P3.json", "--point", "--symbol", "E", "-o", "missing/x.json"],
+                     {"file": "P3.json", "symbol": "E", "point": True}, id="blowup-point"),
+        pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1", "--symbol", "E",
+                      "-o", "missing/x.json"],
+                     {"file": "P3.json", "symbol": "E", "curve": "g=0,deg=H:1"}, id="blowup-curve"),
+    ],
+)
+def test_unwritable_output_reports_the_inputs(capsys, tmp_path, monkeypatch, argv, inputs):
+    # the report once had no "inputs", unlike that of a file that cannot be read
+    monkeypatch.chdir(tmp_path)
+    Path("P3.json").write_text(serialize_profile(get("P3").profile))
+    code, out = run(capsys, *argv)
+    assert code == 2
+    error = {"type": "FileNotFoundError",
+             "message": "[Errno 2] No such file or directory: 'missing/x.json'"}
+    report = {"command": argv[0], "inputs": inputs, "error": error}
+    assert out == json.dumps(report, indent=2) + "\n"
 
 
 def _calculator_error_classes():

@@ -71,37 +71,61 @@ class TestValidation:
         assert any("integer" in v for v in p.validate())
 
     def test_unknown_symbols_reported(self):
-        p = ThreefoldProfile(
-            basis=("H",),
-            triple={("H", "H", "H"): 1},
-            c2_vector={"Y": 1},
-            chi_O=0,
-            canonical=DivisorExpr.symbol("Z"),
-            named_divisors={"bad": DivisorExpr.symbol("W")},
+        # the constructor rejects a profile naming a symbol outside its basis,
+        # naming the first offender in the order validate once listed them
+        X, Y, Z, W = (DivisorExpr.symbol(s) for s in "XYZW")
+        clean = dict(c2_vector={"H": 6}, canonical=-4 * H, named_divisors={}, flags=())
+        stray = dict(
+            c2_vector={"H": 6, "Y": 1, "X": 1},  # in the mapping's order
+            canonical=-4 * H + Z + X,  # a divisor's symbols in sorted order
+            named_divisors={"ok": H, "b": W, "a": Y + X},  # by name
+            flags=[flag(FlagKind.NEF, 2 * X), flag(FlagKind.BIG, H + W)],  # by text
         )
-        text = "\n".join(p.validate())
-        for sym in "YZW":
-            assert f"unknown symbol '{sym}'" in text
-        # an off-basis triple key is no violation but a rejected profile
+        expected = [
+            "unknown symbol 'Y' in c2 vector",
+            "unknown symbol 'X' in canonical class",
+            "unknown symbol 'X' in named divisor 'a'",
+            "unknown symbol 'W' in flag Big(H + W)",
+        ]
+        for at, message in enumerate(expected):
+            # the offending fields from this one on; the ones before are clean
+            fields = {name: stray[name] if i >= at else value
+                      for i, (name, value) in enumerate(clean.items())}
+            with pytest.raises(UnknownSymbolError) as raised:
+                p3_profile(**fields)
+            assert str(raised.value) == message
+            assert isinstance(raised.value, ValueError)
+        # an off-basis triple key is rejected too, before any other field
         with pytest.raises(ValueError, match=r"triple key \('H', 'H', 'X'\) is not three basis symbols"):
-            ThreefoldProfile(basis=("H",), triple={("H", "H", "X"): 1})
+            ThreefoldProfile(basis=("H",), triple={("H", "H", "X"): 1}, canonical=Z)
 
     def test_unknown_symbol_in_a_flag_subject(self):
-        X = DivisorExpr.symbol("X")
-        p = get("P3").profile.with_flags(flag(FlagKind.AMPLE, H + X), replace=True)
-        assert p.validate() == ["unknown symbol 'X' in flag Ample(H + X)"]
-        # only the offending flags are sorted, by their text; a clean flag adds nothing
-        p = get("P3").profile.with_flags(
+        # copies check what they add, as the constructor checks it; only the
+        # offending flags are sorted, by their text
+        X, Y = DivisorExpr.symbol("X"), DivisorExpr.symbol("Y")
+        p3 = get("P3").profile
+        flags = (
             flag(FlagKind.NEF, 2 * X),
             flag(FlagKind.NEF_AND_BIG, 2 * H),
-            flag(FlagKind.BIG, H + DivisorExpr.symbol("Y") + X),
-            replace=True,
+            flag(FlagKind.BIG, H + Y + X),
         )
-        assert p.validate() == [
-            "unknown symbol 'X' in flag Big(H + X + Y)",
-            "unknown symbol 'Y' in flag Big(H + X + Y)",
-            "unknown symbol 'X' in flag Nef(2*X)",
-        ]
+        message = "unknown symbol 'X' in flag Big(H + X + Y)"
+        for call in (
+            lambda: p3.with_flags(*flags, replace=True),
+            lambda: p3.with_flags(*flags),
+            lambda: p3_profile(flags=flags),
+        ):
+            with pytest.raises(UnknownSymbolError) as raised:
+                call()
+            assert str(raised.value) == message
+        with pytest.raises(UnknownSymbolError, match=r"^unknown symbol 'X' in flag Ample\(H \+ X\)$"):
+            p3.with_flags(flag(FlagKind.AMPLE, H + X))
+        with pytest.raises(UnknownSymbolError, match=r"^unknown symbol 'X' in named divisor 'a'$"):
+            p3.with_named_divisors(b=Y, a=X, c=H)
+        # a clean flag or divisor adds nothing, and the parent is unchanged
+        assert p3.with_flags(flags[1]).validate() == []
+        assert p3.with_named_divisors(a=2 * H).named_divisors["a"] == 2 * H
+        assert "a" not in p3.named_divisors and flags[1] not in p3.flags
 
     def test_duplicate_basis_rejected(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,16 @@
 """Profile construction, copies, parsing and serialization against the code they replaced.
 
 The constructor keeps the triple tensor once, on sorted symbol triples,
-and rejects two orders of one triple with different values and keys off
-the basis.  `with_flags`, `with_named_divisors` and the blow-ups copy the
-validated data instead of rebuilding it; a blow-up must equal the profile
-the constructor builds from the same fields.  `profile_from_dict` reads
-each triple record in one loop, and `serialize_profile` takes its triple records from the
-tensor.  The reference functions below are those of the code before, kept
-verbatim but for the triple checks the constructor now makes: every
-result, every rejection (type and message) and every byte must equal
-theirs.
+and rejects two orders of one triple with different values and any
+symbol off the basis.  `with_flags`, `with_named_divisors` and the
+blow-ups copy the validated data instead of rebuilding it; a blow-up must
+equal the profile the constructor builds from the same fields.
+`profile_from_dict` reads each triple record in one loop, and
+`serialize_profile` takes its triple records from the tensor.  The
+reference functions below are those of the code before, kept verbatim
+but for the checks the constructor now makes (triple keys, and the
+unknown-symbol records of `reference_validate`): every result, every
+rejection (type and message) and every byte must equal theirs.
 """
 
 import json
@@ -29,6 +30,7 @@ from adjoint3 import (
     FlagKind,
     PositivityFlag,
     ThreefoldProfile,
+    UnknownSymbolError,
     blow_up_curve,
     blow_up_point,
     flag,
@@ -196,36 +198,16 @@ def reference_from_dict(obj: object) -> ThreefoldProfile:
 def reference_validate(self) -> list[str]:
     """All invariant violations, as human-readable records.
 
-    An empty list certifies: symbols known, the canonical class pairs with
-    c2 to -24 * chi_O, and chi_O is an integer.  Violations are data, not
-    failures.
+    An empty list certifies: the canonical class pairs with c2 to
+    -24 * chi_O, and chi_O is an integer.  Violations are data, not
+    failures.  (The unknown-symbol records of the code before are gone:
+    the constructor rejects every profile they were written for.)
     """
     out: list[str] = []
-    basis = set(self.basis)
-
-    for s in self.c2_vector:
-        if s not in basis:
-            out.append(f"unknown symbol '{s}' in c2 vector")
-    unknown_core = bool(out)
-    for s in sorted(self.canonical.symbols()):
-        if s not in basis:
-            out.append(f"unknown symbol '{s}' in canonical class")
-            unknown_core = True
-    for name, d in sorted(self.named_divisors.items()):
-        for s in sorted(d.symbols()):
-            if s not in basis:
-                out.append(f"unknown symbol '{s}' in named divisor '{name}'")
-    for f in sorted(self.flags, key=str):
-        if f.subject is not None:
-            for s in sorted(f.subject.symbols()):
-                if s not in basis:
-                    out.append(f"unknown symbol '{s}' in flag {f}")
-
-    if not unknown_core:
-        lhs = self.c2_pair(self.canonical)
-        rhs = -24 * self.chi_O
-        if lhs != rhs:
-            out.append(f"chiox inconsistency: {lhs} != {rhs}")
+    lhs = self.c2_pair(self.canonical)
+    rhs = -24 * self.chi_O
+    if lhs != rhs:
+        out.append(f"chiox inconsistency: {lhs} != {rhs}")
 
     if self.chi_O.denominator != 1:
         out.append(f"chi_O must be an integer, got {self.chi_O}")
@@ -487,27 +469,32 @@ def reference_blown_up(p, e, entries, c2, canonical):
     )
 
 
-# symbols no basis holds; each may name the exceptional divisor too
+# symbols no basis holds
 OFF_BASIS = ("Zz", "Yy", "E1")
 
 
 def _off_basis_parent(rng, p):
-    """``p`` with off-basis symbols in some of its c2 vector, canonical class,
-    named divisors and flag subjects, which the constructor accepts."""
-    def stray():
-        return {rng.choice(OFF_BASIS): _value(rng) or Fraction(1)}
+    """Build ``p`` with an off-basis symbol in at least one of its c2 vector,
+    canonical class, named divisors and flag subjects; return the message
+    of the first offender in that order, which the constructor must raise."""
+    fields = rng.sample(range(4), rng.randint(1, 4))
+    symbols = {at: rng.choice(OFF_BASIS) for at in fields}
+
+    def stray(at):
+        return DivisorExpr({symbols[at]: _value(rng) or Fraction(1)})
 
     c2 = dict(p.c2_vector)
-    if rng.random() < 0.5:
-        c2.update(stray())
-    canonical = p.canonical + DivisorExpr(stray()) if rng.random() < 0.5 else p.canonical
-    named = dict(p.named_divisors)
-    if rng.random() < 0.5:
-        named["S"] = DivisorExpr(stray())
-    flags = set(p.flags)
-    if rng.random() < 0.5:
-        flags.add(flag(rng.choice(DIVISOR_KINDS), DivisorExpr(stray())))
-    return ThreefoldProfile(p.basis, p.triple, c2, p.chi_O, canonical, flags, named)
+    if 0 in fields:
+        c2.update(stray(0).coefficients)
+    canonical = p.canonical + stray(1) if 1 in fields else p.canonical
+    named = {**p.named_divisors, **({"S": stray(2)} if 2 in fields else {})}
+    bad_flag = flag(rng.choice(DIVISOR_KINDS), stray(3)) if 3 in fields else None
+    flags = p.flags | {bad_flag} if bad_flag else p.flags
+    places = ("c2 vector", "canonical class", "named divisor 'S'", f"flag {bad_flag}")
+    at = min(fields)
+    with pytest.raises(UnknownSymbolError) as raised:
+        ThreefoldProfile(p.basis, p.triple, c2, p.chi_O, canonical, flags, named)
+    return str(raised.value), f"unknown symbol '{symbols[at]}' in {places[at]}"
 
 
 def _curve_data(rng, p, rational):
@@ -520,7 +507,7 @@ def _curve_data(rng, p, rational):
         for s in p.basis
     }
     pivots = [s for s in p.basis if p.canonical.coefficients.get(s)]
-    if pivots and rng.random() < 0.4 and set(p.canonical.symbols()) <= set(p.basis):
+    if pivots and rng.random() < 0.4:
         s = rng.choice(pivots)
         k_dot_c = sum(c * degrees[t] for t, c in p.canonical.items())
         degrees[s] += (2 * genus - 2 - k_dot_c) / p.canonical.coefficients[s]
@@ -542,8 +529,10 @@ def assert_same_profile(actual, expected):
 def test_blow_ups_equal_the_constructed_profile(n, seed, off_basis, rational):
     rng = random.Random(seed)
     parent = random_profile(rng, n, several=True)
-    if off_basis:
-        parent = _off_basis_parent(rng, parent)
+    if off_basis:  # such a parent is never built, so never blown up
+        raised, expected = _off_basis_parent(rng, parent)
+        assert raised == expected
+        return
     e1, e2 = rng.sample(("E1", "A", "zz", "_e", "Zz"), 2)
     if e1 in parent.basis or e2 in parent.basis:
         return
@@ -570,6 +559,53 @@ def test_blow_ups_equal_the_constructed_profile(n, seed, off_basis, rational):
     # the inherited values are the parent's own objects
     point = actual[0][1]
     assert all(point.triple[key] is value for key, value in parent.triple.items())
+
+
+def _clean(rng, p):
+    """``p`` with chi_O and one c2 entry changed so that it validates clean."""
+    chi_o = rng.randint(-3, 3) if p.canonical else 0
+    c2 = dict(p.c2_vector)
+    if p.canonical:
+        s, k = rng.choice(p.canonical.items())
+        rest = sum(c * c2.get(t, 0) for t, c in p.canonical.items() if t != s)
+        c2[s] = (-24 * chi_o - rest) / k
+    return ThreefoldProfile(p.basis, p.triple, c2, chi_o, p.canonical, p.flags, p.named_divisors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), seeds, st.booleans())
+def test_accepted_profiles_blow_up_without_key_errors_and_stay_clean(n, seed, rational):
+    # a curve blow-up once read the degree of a canonical symbol outside the
+    # basis (a KeyError), and both blow-ups of a profile whose c2 vector held
+    # one validated clean; the constructor now accepts neither profile
+    rng = random.Random(seed)
+    parent = random_profile(rng, n, several=True)
+    clean = _clean(rng, parent)
+    assert clean.validate() == []
+    for p in (parent, clean):
+        point = blow_up_point(p, "Ex")[0]
+        curve = blow_up_curve(p, "Ex", *_curve_data(rng, p, rational))[0]
+        for child in (point, curve):
+            assert child.validate() == p.validate()
+            assert set(child.c2_vector) <= set(child.basis)
+            assert set(child.canonical.symbols()) <= set(child.basis)
+        assert point.c2_pair(DivisorExpr.symbol("Ex")) == 0
+
+
+@pytest.mark.parametrize(
+    "c2, canonical, message",
+    [
+        ({"H": 6, "E": 3}, {"H": -4}, "unknown symbol 'E' in c2 vector"),
+        ({"H": 6}, {"H": -4, "Z": 1}, "unknown symbol 'Z' in canonical class"),
+    ],
+    ids=["c2-entry", "canonical"],
+)
+def test_profiles_blow_ups_once_mishandled_are_rejected(c2, canonical, message):
+    # once built: a point blow-up turned the c2 entry of E into E.c2 = 3 and a
+    # curve blow-up dropped it, each child validating clean, and a curve
+    # blow-up raised a bare KeyError on the canonical class
+    with pytest.raises(UnknownSymbolError, match=f"^{message}$"):
+        ThreefoldProfile(["H"], {("H", "H", "H"): 1}, c2, 1, canonical)
 
 
 def test_blow_up_of_a_compiled_parent_compiles_its_own_tensor():

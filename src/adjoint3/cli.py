@@ -9,8 +9,12 @@ other calculator error.  The two commands that produce profiles
 (``catalog`` and ``blowup``) write a profile file instead, either to
 ``--output`` or to standard output.
 
-Each ``_cmd_*`` handler returns its output and exit code; `main` writes it,
-a report as indented JSON and a profile as its text, and is the one writer.
+Each ``_cmd_*`` handler records its inputs, as it reads them, in a dict
+`main` holds, and returns its output and exit code; `main` writes it, a
+report as indented JSON and a profile as its text, and is the one writer.
+A report of violations or of an error comes from `_failure_report` and
+names the inputs read before it, but `_run_per_file` reports a file's
+error with the file alone.
 """
 
 from __future__ import annotations
@@ -43,11 +47,14 @@ EXIT_OPERATION = 1
 EXIT_MALFORMED = 2
 
 
-def _error_report(command: str, exc: Exception, **fields) -> tuple[dict, int]:
-    malformed = isinstance(exc, (MalformedInputError, OSError))
-    code = EXIT_MALFORMED if malformed else EXIT_OPERATION
-    error = {"type": type(exc).__name__, "message": str(exc)}
-    return {"command": command, **fields, "error": error}, code
+def _failure_report(command: str, inputs: dict, failure: list | Exception) -> tuple[dict, int]:
+    """The report of a command that a profile's violations (a list) or an error ended."""
+    if isinstance(failure, list):
+        return {"command": command, "inputs": inputs, "violations": failure}, EXIT_OPERATION
+    malformed = isinstance(failure, (MalformedInputError, OSError))
+    error = {"type": type(failure).__name__, "message": str(failure)}
+    report = {"command": command, "inputs": inputs, "error": error}
+    return report, EXIT_MALFORMED if malformed else EXIT_OPERATION
 
 
 def _bound_result(value: Fraction) -> dict:
@@ -72,16 +79,16 @@ def _certificate_record(cert, basis) -> dict:
     }
 
 
-def _run_per_file(args, evaluate, **options) -> tuple[dict | list, int]:
+def _run_per_file(args, paths: list[str], options: dict, evaluate) -> tuple[dict | list, int]:
     """The report of each input file, in input order, and the worst exit code.
 
-    Each file is loaded and validated.  A profile with violations is
-    reported with them and exit 1; ``evaluate(profile, inputs)`` returns
-    the report fields of a valid one.  With ``evaluate=None`` the
-    validation itself is the result.
+    Each file is loaded and validated; its inputs are its path and the
+    command's ``options``.  A profile with violations is reported with them
+    and exit 1; ``evaluate(profile, inputs)`` returns the report fields of a
+    valid one.  With ``evaluate=None`` the validation itself is the result.
     """
     reports = []
-    for path in args.files:
+    for path in paths:
         inputs = {"file": path, **options}
         try:
             profile = load_profile(path)
@@ -90,22 +97,22 @@ def _run_per_file(args, evaluate, **options) -> tuple[dict | list, int]:
             if evaluate is None:
                 report.update(result={"valid": not violations}, violations=violations)
             elif violations:
-                report["violations"] = violations
+                report, _ = _failure_report(args.command, inputs, violations)
             else:
                 report.update(evaluate(profile, inputs))
             reports.append((report, EXIT_OPERATION if violations else EXIT_OK))
         except (CalcError, OSError) as exc:
-            reports.append(_error_report(args.command, exc, inputs={"file": path}))
+            reports.append(_failure_report(args.command, {"file": path}, exc))
     if len(reports) == 1:
         return reports[0]
     return [r for r, _ in reports], max(code for _, code in reports)
 
 
-def _cmd_validate(args):
-    return _run_per_file(args, None)
+def _cmd_validate(args, inputs):
+    return _run_per_file(args, args.files, inputs, None)
 
 
-def _cmd_chi(args):
+def _cmd_chi(args, inputs):
     from .riemann_roch import chi_line_bundle
 
     def evaluate(profile: ThreefoldProfile, inputs: dict) -> dict:
@@ -118,11 +125,15 @@ def _cmd_chi(args):
             }
         }
 
-    return _run_per_file(args, evaluate, divisor=args.divisor)
+    inputs["divisor"] = args.divisor
+    return _run_per_file(args, args.files, inputs, evaluate)
 
 
-def _cmd_bound(args):
+def _cmd_bound(args, inputs):
     from .bounds import miyaoka_c2_inequality
+
+    if args.ample is not None and args.rule != "miyaoka":
+        raise argparse.ArgumentError(None, "argument --ample: only --rule miyaoka takes it")
 
     def evaluate(profile: ThreefoldProfile, inputs: dict) -> dict:
         ample_divisor = resolve_divisor(profile, args.divisor)
@@ -140,10 +151,11 @@ def _cmd_bound(args):
             result = _bound_result(BOUND_RULES[args.rule](profile, ample_divisor))
         return {"result": result}
 
-    return _run_per_file(args, evaluate, divisor=args.divisor, rule=args.rule)
+    inputs.update(divisor=args.divisor, rule=args.rule)
+    return _run_per_file(args, args.files, inputs, evaluate)
 
 
-def _cmd_certify(args):
+def _cmd_certify(args, inputs):
     from .bounds import certify_h0_adjoint, certify_h0_bs
 
     def evaluate(profile: ThreefoldProfile, inputs: dict) -> dict:
@@ -155,7 +167,8 @@ def _cmd_certify(args):
             "certificate": record,
         }
 
-    return _run_per_file(args, evaluate, divisor=args.divisor, target=args.target)
+    inputs.update(divisor=args.divisor, target=args.target)
+    return _run_per_file(args, args.files, inputs, evaluate)
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
@@ -195,53 +208,39 @@ def _parse_curve_spec(text: str) -> tuple[int, dict[str, Fraction]]:
     return genus, degrees or {}
 
 
-class _Violations(Exception):
-    """A single-file command's profile has violations; ``args[0]`` reports them."""
-
-
-def _load_single_profile(args, inputs: dict) -> ThreefoldProfile:
-    """The profile in ``args.file``; raises `_Violations` if it has any."""
-    profile = load_profile(args.file)
-    violations = profile.validate()
-    if violations:
-        raise _Violations({"command": args.command, "inputs": inputs, "violations": violations})
-    return profile
-
-
 def _write_profile(args, inputs: dict, profile: ThreefoldProfile, result: dict):
     """Write the profile to ``--output`` and report it, or return its text."""
     if args.output is None:
         return serialize_profile(profile), EXIT_OK
-    try:
-        save_profile(profile, args.output)
-    except OSError as exc:
-        return _error_report(args.command, exc, inputs=inputs)
+    save_profile(profile, args.output)
     result = {"output": args.output, **result}
     return {"command": args.command, "inputs": inputs, "result": result}, EXIT_OK
 
 
-def _cmd_blowup(args):
+def _cmd_blowup(args, inputs):
     from .birational import blow_up_curve, blow_up_point
 
-    inputs = {"file": args.file, "symbol": args.symbol}
-    profile = _load_single_profile(args, inputs)
-    curve = None if args.curve is None else _parse_curve_spec(args.curve)
-    if curve is not None:
-        inputs["curve"] = args.curve
-        transformed, _ = blow_up_curve(profile, args.symbol, *curve)
-    else:
+    inputs.update(file=args.file, symbol=args.symbol)
+    profile = load_profile(args.file)
+    violations = profile.validate()
+    if violations:
+        return _failure_report(args.command, inputs, violations)
+    if args.curve is None:
         inputs["point"] = True
         transformed, _ = blow_up_point(profile, args.symbol)
+    else:
+        inputs["curve"] = args.curve
+        transformed, _ = blow_up_curve(profile, args.symbol, *_parse_curve_spec(args.curve))
     return _write_profile(args, inputs, transformed, {"basis": list(transformed.basis)})
 
 
-def _cmd_identities(args):
+def _cmd_identities(args, inputs):
     from .riemann_roch import chi_identity_suite
 
     results = chi_identity_suite()
     report = {
         "command": "identities",
-        "inputs": {},
+        "inputs": inputs,
         "result": [
             {"identity": name, "status": "PASS" if ok else "FAIL"}
             for name, ok in results
@@ -250,28 +249,27 @@ def _cmd_identities(args):
     return report, EXIT_OK if all(ok for _, ok in results) else EXIT_OPERATION
 
 
-def _cmd_catalog(args):
+def _cmd_catalog(args, inputs):
+    inputs["name"] = args.name
     entry = catalog_mod.get(args.name)
-    return _write_profile(args, {"name": args.name}, entry.profile, {"entry": entry.name})
+    return _write_profile(args, inputs, entry.profile, {"entry": entry.name})
 
 
-def _cmd_witness(args):
-    inputs = {"file": args.file}
-    profile = _load_single_profile(args, inputs)
-    eps_list = [_parse_rational(e, "eps") for e in args.eps] if args.eps else None
-    eps, value = catalog_mod.bad_anticanonical_witness(profile, eps_list)
-    fiber, polarization = catalog_mod._witness_classes(profile)
-    candidate = fiber + eps * polarization
-    report = {
-        "command": "witness-bad-anticanonical",
-        "inputs": inputs,
-        "result": {
-            "eps": format_rational(eps),
-            "value": format_rational(value),
-            "candidate": format_divisor(candidate, profile.basis),
-        },
-    }
-    return report, EXIT_OK
+def _cmd_witness(args, inputs):
+    def evaluate(profile: ThreefoldProfile, inputs: dict) -> dict:
+        eps_list = None if args.eps is None else [_parse_rational(e, "eps") for e in args.eps]
+        eps, value = catalog_mod.bad_anticanonical_witness(profile, eps_list)
+        fiber, polarization = catalog_mod._witness_classes(profile)
+        candidate = fiber + eps * polarization
+        return {
+            "result": {
+                "eps": format_rational(eps),
+                "value": format_rational(value),
+                "candidate": format_divisor(candidate, profile.basis),
+            }
+        }
+
+    return _run_per_file(args, [args.file], inputs, evaluate)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -354,18 +352,17 @@ def main(argv=None) -> int:
     # exact numbers are read and printed in full, however many digits they have
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
+    inputs = {}  # the handler records each input as it reads it
     try:
         try:
             args = build_parser().parse_args(words)
-            output, code = args.handler(args)
+            output, code = args.handler(args, inputs)
         except argparse.ArgumentError as exc:  # usage; the command as typed, known or not
             command = words[0] if words and not words[0].startswith("-") else None
             error = {"type": "UsageError", "message": str(exc)}
             output, code = {"command": command, "error": error}, EXIT_MALFORMED
-        except _Violations as exc:
-            output, code = exc.args[0], EXIT_OPERATION
         except (CalcError, OSError) as exc:
-            output, code = _error_report(args.command, exc)
+            output, code = _failure_report(args.command, inputs, exc)
         # the one write: a profile's text as is, a report as indented JSON
         text = output if isinstance(output, str) else json.dumps(output, indent=2) + "\n"
         sys.stdout.write(text)

@@ -279,6 +279,12 @@ class TestUsageErrors:
                 id="unknown-command",
             ),
             pytest.param([], None, "the following arguments are required: command", id="no-command"),
+            pytest.param(
+                ["bound", "f.json", "--divisor", "5H", "--rule", "nefbig", "--ample", "2H"],
+                "bound",
+                "argument --ample: only --rule miyaoka takes it",
+                id="ample-without-miyaoka",
+            ),
         ],
     )
     def test_reported_as_json_with_exit_2(self, capsys, argv, command, message):
@@ -678,26 +684,50 @@ def test_os_error_is_one_json_error_with_exit_2(capsys, tmp_path, monkeypatch, a
     assert report["error"]["type"] == "FileNotFoundError"
 
 
+_NO_OUTPUT = (2, "FileNotFoundError", "[Errno 2] No such file or directory: 'missing/x.json'")
+
+
 @pytest.mark.parametrize(
-    "argv, inputs",
+    "argv, inputs, error",
     [
-        pytest.param(["catalog", "P3", "-o", "missing/x.json"], {"name": "P3"}, id="catalog"),
+        pytest.param(["catalog", "P3", "-o", "missing/x.json"], {"name": "P3"}, _NO_OUTPUT, id="catalog"),
         pytest.param(["blowup", "P3.json", "--point", "--symbol", "E", "-o", "missing/x.json"],
-                     {"file": "P3.json", "symbol": "E", "point": True}, id="blowup-point"),
+                     {"file": "P3.json", "symbol": "E", "point": True}, _NO_OUTPUT, id="blowup-point"),
         pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1", "--symbol", "E",
                       "-o", "missing/x.json"],
-                     {"file": "P3.json", "symbol": "E", "curve": "g=0,deg=H:1"}, id="blowup-curve"),
+                     {"file": "P3.json", "symbol": "E", "curve": "g=0,deg=H:1"}, _NO_OUTPUT,
+                     id="blowup-curve"),
+        pytest.param(["blowup", "missing.json", "--point", "--symbol", "E"],
+                     {"file": "missing.json", "symbol": "E"},
+                     (2, "FileNotFoundError", "[Errno 2] No such file or directory: 'missing.json'"),
+                     id="blowup-missing-file"),
+        pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=X:1", "--symbol", "E"],
+                     {"file": "P3.json", "symbol": "E", "curve": "g=0,deg=X:1"},
+                     (2, "UnknownSymbolError", "unknown symbol 'X' in curve degrees"),
+                     id="blowup-off-basis-degree"),
+        pytest.param(["witness-bad-anticanonical", "P3.json"], {"file": "P3.json"},
+                     (2, "UnknownEntryError", "profile has no named divisor 'F'"), id="witness-no-F"),
+        pytest.param(["catalog", "Nope"], {"name": "Nope"},
+                     (2, "UnknownEntryError", "unknown catalog entry 'Nope'; known: P3, Q5, BlP3, "
+                      "BlLineP3, Pencil5 and hypersurface(d)"), id="catalog-unknown-name"),
+        pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "0"],
+                     {"file": "Pencil5.json"}, (2, "DivisorParseError", "eps 0/1 is not positive"),
+                     id="witness-eps-zero"),
+        # `--eps` with no value is an empty scan, not a request for the default one
+        pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps"], {"file": "Pencil5.json"},
+                     (1, "WitnessNotFoundError", "no epsilon in [] makes K.(F + eps*H)^2 positive"),
+                     id="witness-empty-eps"),
     ],
 )
-def test_unwritable_output_reports_the_inputs(capsys, tmp_path, monkeypatch, argv, inputs):
-    # the report once had no "inputs", unlike that of a file that cannot be read
+def test_command_level_errors_report_the_inputs(capsys, tmp_path, monkeypatch, argv, inputs, error):
+    # these reports once had no "inputs", unlike that of a file that cannot be read
     monkeypatch.chdir(tmp_path)
-    Path("P3.json").write_text(serialize_profile(get("P3").profile))
+    for name in ("P3", "Pencil5"):
+        Path(f"{name}.json").write_text(serialize_profile(get(name).profile))
     code, out = run(capsys, *argv)
-    assert code == 2
-    error = {"type": "FileNotFoundError",
-             "message": "[Errno 2] No such file or directory: 'missing/x.json'"}
-    report = {"command": argv[0], "inputs": inputs, "error": error}
+    exit_code, kind, message = error
+    assert code == exit_code
+    report = {"command": argv[0], "inputs": inputs, "error": {"type": kind, "message": message}}
     assert out == json.dumps(report, indent=2) + "\n"
 
 

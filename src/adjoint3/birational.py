@@ -16,9 +16,9 @@ invariants and are transported; divisor-level flags are dropped because
 pull-backs of ample classes are merely nef.
 
 A blow-up does not rebuild its profile: it shares the parent's validated
-data and adds only the exceptional triple entries, the new c2 vector and
-the new canonical class (`ThreefoldProfile._extended`), so no inherited
-entry is checked again.
+data and adds only the exceptional triple entries, the canonical class
+and the c2 vector over the grown basis, the exceptional symbol last
+(`ThreefoldProfile._extended`), so no inherited entry is checked again.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def blow_up_point(
     """
     _check_new_symbol(p, new_symbol)
     e = new_symbol
-    c2 = {s: v for s, v in p.c2_vector.items() if v != 0}
+    c2 = {**p.c2_vector, e: Fraction(0)}
     canonical = p.canonical + DivisorExpr.symbol(e, 2)
     source = _blown_up(p, e, {(e, e, e): Fraction(1)}, c2, canonical)
     return source, BlowupMap(source=source, target=p, exceptional=e)
@@ -125,13 +125,8 @@ def blow_up_curve(
     entries = {tuple(sorted((s, e, e))): -deg[s] for s in p.basis}
     entries[(e, e, e)] = -(2 * genus - 2 - canonical_dot_curve)
 
-    c2 = {}
-    for s in p.basis:
-        value = p.c2_vector.get(s, Fraction(0)) + deg[s]
-        if value != 0:
-            c2[s] = value
-    if canonical_dot_curve != 0:
-        c2[e] = -canonical_dot_curve
+    c2 = {s: v + deg[s] for s, v in p.c2_vector.items()}
+    c2[e] = -canonical_dot_curve
 
     source = _blown_up(p, e, entries, c2, p.canonical + DivisorExpr.symbol(e))
     center = CurveCenter(genus=genus, degrees=tuple(sorted(deg.items())))
@@ -144,7 +139,7 @@ def pull_back(m: BlowupMap, D: DivisorExpr) -> DivisorExpr:
     Coefficients are unchanged; the exceptional coefficient is zero.
     """
     m.target._check_symbols(D.symbols(), "pull_back")
-    return DivisorExpr(D.coefficients)
+    return D
 
 
 def blowdown_invariance_check(

@@ -21,25 +21,26 @@ The constructor is the one door for basis symbols: a triple key that is
 not three basis symbols raises `ValueError`, and a c2 key, canonical
 class, named divisor (by name) or flag subject (by text) naming another
 symbol raises `UnknownSymbolError`, for the first offender in that order.
-So `validate` checks only the numeric rules.  The triple tensor is stored
-once, on sorted symbol triples with zeros dropped: the constructor
-accepts a triple under any of its orders, and raises `ValueError` when
-two orders of one triple carry different values.  On first evaluation
-the tensor is compiled into an `IntegerTensor`: one common denominator L
-and a dense integer tensor T on basis positions, where T[i][j][k] / L is
-the value of the triple in every order of i, j and k.  Evaluations
-multiply integers and build one `Fraction` at the end, so they return
-the very rationals the `Fraction` arithmetic would.  Copies made by
-`with_flags` and `with_named_divisors` share all validated data, the
-compiled form included, and check only the flags and divisors they add.
-A blow-up (`birational`) extends its parent the same way: it shares the
-parent's validated triple values, named divisors and flags, takes its
-computed c2 vector and canonical class as given, and checks only the
-exceptional entries it adds, whose keys must be sorted and name the new
-symbol, so that no inherited entry is replaced; zero entries are dropped
-as the constructor drops them, and the grown basis gets a compiled form
-of its own.  Construction, parsing, validation, serialization and
-blow-ups never compile.
+So `validate` checks only the numeric rules.  Each field has one stored
+form.  The triple tensor is kept on sorted symbol triples, zeros dropped;
+the constructor accepts a triple under any of its orders, and raises
+`ValueError` when two orders of one triple carry different values.  The
+c2 vector is kept over every basis symbol in basis order, zero where the
+input leaves one out, and the named divisors in name order, a repeated
+name keeping its last value.  On first evaluation the tensor is compiled
+into an `IntegerTensor`: one common denominator L and a dense integer
+tensor T on basis positions, where T[i][j][k] / L is the value of the
+triple in every order of i, j and k.  Evaluations multiply integers and
+build one `Fraction` at the end, so they return the very rationals the
+`Fraction` arithmetic would.  Copies made by `with_flags` and
+`with_named_divisors` share all validated data, the compiled form
+included, and check only the flags and divisors they add.  A blow-up
+(`birational`) extends its parent the same way: it takes its c2 vector
+(the exceptional symbol last) and canonical class as given, and checks
+only the exceptional triple entries it adds, whose sorted keys must name
+the new symbol, so none replaces an inherited one; the grown basis gets
+a compiled form of its own.  Construction, parsing, validation,
+serialization and blow-ups never compile.
 """
 
 from __future__ import annotations
@@ -218,9 +219,9 @@ class ThreefoldProfile(_Record):
 
     Fields: ``basis`` (ordered symbol names), ``triple`` (the trilinear
     form on sorted symbol triples, zeros dropped), ``c2_vector`` (pairing
-    of each basis symbol with the second Chern class), ``chi_O``,
-    ``canonical`` (the canonical class over the basis), ``flags`` and
-    ``named_divisors``.
+    of each basis symbol with the second Chern class, in basis order),
+    ``chi_O``, ``canonical`` (the canonical class over the basis),
+    ``flags`` and ``named_divisors`` (in name order).
 
     Instances are immutable; use `with_flags` / `with_named_divisors` to
     derive modified copies.
@@ -277,13 +278,15 @@ class ThreefoldProfile(_Record):
         self.triple = MappingProxyType(stored)
 
         c2_items = c2_vector.items() if isinstance(c2_vector, Mapping) else c2_vector
-        self.c2_vector = MappingProxyType({s: rat(v) for s, v in c2_items})
+        c2 = {s: rat(v) for s, v in c2_items}
+        self.c2_vector = MappingProxyType({s: c2.get(s, _ZERO) for s in self.basis})
         self.chi_O = rat(chi_O)
         self.canonical = _coerce_divisor(canonical)
         self.flags = _checked_flags(flags)
         named = named_divisors.items() if isinstance(named_divisors, Mapping) else named_divisors
-        self.named_divisors = MappingProxyType({n: _coerce_divisor(d) for n, d in named})
-        self._check_symbols(self.c2_vector, "c2 vector")
+        named = {n: _coerce_divisor(d) for n, d in named}
+        self.named_divisors = MappingProxyType(dict(sorted(named.items())))
+        self._check_symbols(c2, "c2 vector")
         self._check_symbols(self.canonical.symbols(), "canonical class")
         self._check_subjects(self.named_divisors, self.flags)
         # the IntegerTensor of `triple`, made on first use; shared with derived copies
@@ -342,14 +345,14 @@ class ThreefoldProfile(_Record):
     def c2_pair(self, d: DivisorExpr) -> Fraction:
         """Linear extension of the c2 pairing vector."""
         self._check_symbols(d.symbols(), "c2 pairing")
-        return sum((c * self.c2_vector.get(s, _ZERO) for s, c in d.items()), _ZERO)
+        return sum((c * self.c2_vector[s] for s, c in d.items()), _ZERO)
 
     def number_eval(self, n: NumberExpr) -> Fraction:
         """Evaluate a symbolic number against this profile."""
         self._check_symbols(n.symbols(), "number_eval")
         total = n.constant + n.chi_o_coeff * self.chi_O
         for s, v in n.c2_pairings.items():
-            total += v * self.c2_vector.get(s, _ZERO)
+            total += v * self.c2_vector[s]
         if n.cubic_terms:
             position, denominator, entries = self._tensor()
             scale, scaled = scaled_to_integers(n.cubic_terms)
@@ -438,7 +441,8 @@ class ThreefoldProfile(_Record):
     def with_named_divisors(self, **named: DivisorExpr):
         added = {n: _coerce_divisor(d) for n, d in named.items()}
         self._check_subjects(added, ())
-        return self._derived(self.flags, MappingProxyType({**self.named_divisors, **added}))
+        merged = {**self.named_divisors, **added}
+        return self._derived(self.flags, MappingProxyType(dict(sorted(merged.items()))))
 
     # -- validation ------------------------------------------------------
 
@@ -461,11 +465,11 @@ class ThreefoldProfile(_Record):
         return (
             self.basis,
             tuple(sorted(self.triple.items())),
-            tuple(sorted((s, v) for s, v in self.c2_vector.items() if v != 0)),
+            tuple(self.c2_vector.items()),
             self.chi_O,
             self.canonical,
             self.flags,
-            tuple(sorted(self.named_divisors.items())),
+            tuple(self.named_divisors.items()),
         )
 
     def __repr__(self) -> str:

@@ -294,12 +294,12 @@ def serialize_profile(p: ThreefoldProfile) -> str:
         (_flag_record(f, basis) for f in p.flags),
         key=lambda r: (r["kind"], r["subject"] or ""),
     )
-    named = {name: format_divisor(d, basis) for name, d in sorted(p.named_divisors.items())}
+    named = {name: format_divisor(d, basis) for name, d in p.named_divisors.items()}
     fields = (
         ("basis", _field_text(list(basis))),
         ("canonical", _field_text(format_divisor(p.canonical, basis))),
         ("chi_O", _field_text(format_rational(p.chi_O))),
-        ("c2", _field_text([format_rational(p.c2_vector.get(s, Fraction(0))) for s in basis])),
+        ("c2", _field_text([format_rational(v) for v in p.c2_vector.values()])),
         ("triple", _triple_text(p)),
         ("flags", _field_text(flags)),
         ("named_divisors", _field_text(named)),

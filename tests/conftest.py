@@ -1,7 +1,9 @@
+import json
 import random
 from fractions import Fraction
 
-from adjoint3 import DivisorExpr, ThreefoldProfile
+from adjoint3 import DivisorExpr, ThreefoldProfile, parse_profile, serialize_profile
+from adjoint3.core import rat
 
 BASIS_POOL = ("H", "E", "G")
 
@@ -45,3 +47,16 @@ def random_divisor(rng: random.Random, basis, span: int = 5) -> DivisorExpr:
             for s in basis
         }
     )
+
+
+def assert_canonical_fields(p: ThreefoldProfile) -> None:
+    """``p`` keeps its c2 vector over the whole basis, in basis order, with the
+    values its file's ``c2`` list holds, and its named divisors by name; the
+    profile read back from its file holds both items in the same order."""
+    assert list(p.c2_vector) == list(p.basis)
+    text = serialize_profile(p)
+    assert [rat(v) for v in json.loads(text)["c2"]] == list(p.c2_vector.values())
+    assert list(p.named_divisors) == sorted(p.named_divisors)
+    back = parse_profile(text)
+    assert list(back.c2_vector.items()) == list(p.c2_vector.items())
+    assert list(back.named_divisors.items()) == list(p.named_divisors.items())

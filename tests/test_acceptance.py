@@ -49,7 +49,7 @@ from adjoint3.bounds import (
     ROUTE_NOT_UNIRULED,
 )
 
-from conftest import random_divisor, random_valid_profile
+from conftest import assert_canonical_fields, random_divisor, random_valid_profile
 
 H = DivisorExpr.symbol("H")
 E = DivisorExpr.symbol("E")
@@ -292,3 +292,4 @@ def test_criterion_9_round_trip():
             reparsed = parse_profile(text)
             assert reparsed == profile
             assert serialize_profile(reparsed) == text
+            assert_canonical_fields(profile)

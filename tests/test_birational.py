@@ -27,7 +27,7 @@ from adjoint3 import (
 )
 from adjoint3.profile_io import DivisorParseError
 
-from conftest import random_divisor, random_valid_profile
+from conftest import assert_canonical_fields, random_divisor, random_valid_profile
 
 H = DivisorExpr.symbol("H")
 E = DivisorExpr.symbol("E")
@@ -127,6 +127,9 @@ class TestPointBlowup:
     def test_grammar_symbol_round_trips(self):
         bl, _ = blow_up_point(get("P3").profile, "E_1'")
         assert parse_profile(serialize_profile(bl)) == bl
+        # the exceptional pairing is stored, zero as it is, after the parent's
+        assert list(bl.c2_vector.items()) == [("H", 6), ("E_1'", 0)]
+        assert_canonical_fields(bl)
 
     @given(st.integers(0, 10**9))
     def test_preserves_validity_and_shifts_cube(self, seed):

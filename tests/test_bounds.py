@@ -243,25 +243,29 @@ class TestCertifyAdjoint:
         assert cert.route == ROUTE_NONE
 
     def test_nef_not_big_external_route(self):
+        # K + 4H = 0 on P3: nef, and not big, its cube being 0
         p3 = get("P3").profile.with_flags(
-            flag(FlagKind.AMPLE, H),
+            flag(FlagKind.AMPLE, 4 * H),
             flag(FlagKind.UNIRULED),
-            flag(FlagKind.NEF, -3 * H),  # declared shape only; routing test
+            flag(FlagKind.NEF, DivisorExpr.zero()),
             replace=True,
         )
-        cert = certify_h0_adjoint(p3, H)
+        adjoint = p3.canonical + 4 * H
+        assert adjoint == DivisorExpr.zero() and p3.triple_eval(adjoint, adjoint, adjoint) == 0
+        cert = certify_h0_adjoint(p3, 4 * H)
         assert cert.route == ROUTE_NEF_NOT_BIG
         assert cert.conclusion is Conclusion.NON_VANISHING_EXTERNAL
         assert cert.citations == (KA00_THM31,)
         assert cert.rational_bound is None
 
     def test_nef_and_big_does_not_reach_external_route(self):
+        # K + 5H = H on P3, nef and big with H^3 = 1
         p3 = get("P3").profile.with_flags(
-            flag(FlagKind.AMPLE, H),
-            flag(FlagKind.NEF_AND_BIG, -3 * H),
+            flag(FlagKind.AMPLE, 5 * H),
+            flag(FlagKind.NEF_AND_BIG, H),
             replace=True,
         )
-        assert certify_h0_adjoint(p3, H).route == ROUTE_NONE
+        assert certify_h0_adjoint(p3, 5 * H).route == ROUTE_NONE
 
     def test_positive_irregularity_route(self):
         p3 = get("P3").profile.with_flags(

@@ -29,6 +29,14 @@ def test_expected_values_hold(name):
     assert check_expected(get(name)) == []
 
 
+def test_unreadable_descriptions_are_reported():
+    entry = get("P3")._replace(expected_values=(("nonsense", 1), ("chi(H", 1), ("chi(H)", 4)))
+    assert check_expected(entry) == [
+        "P3: unreadable description 'nonsense'",
+        "P3: unreadable description 'chi(H'",
+    ]
+
+
 def test_hypersurface_degree_one_is_p3():
     assert get("hypersurface(1)").profile == get("P3").profile
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import adjoint3
 from adjoint3 import birational, bounds, catalog, cli, get, parse_profile, serialize_profile
 from adjoint3.cli import main
+from conftest import assert_canonical_fields
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 GOLDEN_HELP = json.loads(Path(__file__).with_name("golden_help.json").read_text())
@@ -177,6 +178,7 @@ class TestValidate:
             ),
             pytest.param(lambda o: o["flags"][0].update(subject="1/0*H"), id="flag-subject-zero-denominator"),
             pytest.param(lambda o: o.update(flags=5), id="flags-not-a-list"),
+            pytest.param(lambda o: o.update(triple={}), id="triple-not-a-list"),
             pytest.param(lambda o: o.update(chi_O=True), id="boolean-chi_O"),
             pytest.param(lambda o: o.update(c2=[True]), id="boolean-c2"),
             pytest.param(lambda o: o["triple"][0].update(value=True), id="boolean-triple-value"),
@@ -230,6 +232,7 @@ class TestValidate:
             pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1,deg=H:2"], PARSE, id="degrees-repeated"),
             pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:1;H:2"], PARSE, id="degree-symbol-repeated"),
             pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=:1"], PARSE, id="degree-symbol-empty"),
+            pytest.param(["blowup", "P3.json", "--curve", "deg=H:1"], PARSE, id="genus-missing"),
             pytest.param(["bound", "P3.json", "--divisor", "H", "--rule", "miyaoka", "--ample", ""], PARSE, id="miyaoka-ample-empty"),
             pytest.param(["blowup", "P3.json", "--curve", "g=0,deg=H:\u0663"], PARSE, id="degree-non-ascii-digit"),
             pytest.param(["witness-bad-anticanonical", "Pencil5.json", "--eps", "\u0663"], PARSE, id="eps-non-ascii-digit"),
@@ -477,6 +480,7 @@ class TestBlowup:
         assert code == 0
         transformed = parse_profile(target.read_text())
         assert transformed.validate() == []
+        assert dict(transformed.c2_vector) == {"H": 6, "E": 0}
         k = transformed.canonical
         assert transformed.triple_eval(k, k, k) == -56
 
@@ -836,6 +840,7 @@ class TestRoundTrip:
         reparsed = parse_profile(text)
         assert reparsed == profile
         assert serialize_profile(reparsed) == text
+        assert_canonical_fields(profile)
 
 
 # more digits than int() and str() convert by default: the first is too long

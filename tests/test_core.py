@@ -156,6 +156,8 @@ class TestClassExpr:
             ("A", "A", "K"): Fraction(3),
             ("A", "A", "A"): Fraction(2),
         }
+        assert (k * a + ClassExpr.c2_atom()).symbols() == frozenset({"A", "K"})
+        assert ClassExpr.c2_atom().symbols() == frozenset()
 
     def test_c2_atom_pairing(self):
         k, a = ClassExpr.symbol("K"), ClassExpr.symbol("A")

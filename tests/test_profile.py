@@ -238,6 +238,7 @@ class TestFlags:
         assert hash(ample) == hash((FlagKind.AMPLE, H))
         assert ample != (FlagKind.AMPLE, H)
         assert repr(ample) == "PositivityFlag(kind=<FlagKind.AMPLE: 'Ample'>, subject=DivisorExpr(H))"
+        assert (str(ample), str(flag(FlagKind.UNIRULED))) == ("Ample(H)", "Uniruled")
 
     def test_variety_level_flags_take_no_subject(self):
         with pytest.raises(ValueError):

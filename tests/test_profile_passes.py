@@ -47,6 +47,7 @@ from adjoint3.profile_io import (
     parse_divisor,
     profile_from_dict,
 )
+from conftest import assert_canonical_fields
 
 # -- the reference code -----------------------------------------------------------
 
@@ -438,7 +439,41 @@ def test_copies_equal_constructed_profiles_and_share_their_data(n, seed, replace
         )
         assert copy.triple is p.triple
         assert copy._compiled is p._compiled
+        assert list(copy.named_divisors.items()) == list(expected.named_divisors.items())
+        assert_canonical_fields(copy)
     assert isinstance(named_copy.named_divisors["N"], DivisorExpr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes, seeds)
+def test_c2_vector_and_named_divisors_have_one_stored_form(n, seed):
+    # the c2 vector given sparse, dense, with some zeros or out of basis order,
+    # as a mapping or as pairs, and the named divisors in any order, a
+    # repeated name keeping its last value: one profile, one stored form
+    rng = random.Random(seed)
+    p = random_profile(rng, n)
+    dense = list(p.c2_vector.items())
+    some_zeros = [(s, v) for s, v in dense if v or rng.random() < 0.5]
+    shuffled = rng.sample(some_zeros, len(some_zeros))
+    named = rng.sample(list(p.named_divisors.items()), len(p.named_divisors))
+    repeated = [(name, DivisorExpr.symbol(p.basis[0])) for name, _ in named] + named
+    inputs = [({s: v for s, v in dense if v}, named), (dense, repeated),
+              (dict(some_zeros), dict(named)), (shuffled, repeated)]
+    for c2, named_divisors in inputs:
+        q = ThreefoldProfile(p.basis, p.triple, c2, p.chi_O, p.canonical, p.flags, named_divisors)
+        assert q == p
+        assert list(q.c2_vector.items()) == list(p.c2_vector.items())
+        assert list(q.named_divisors.items()) == list(p.named_divisors.items())
+        assert_canonical_fields(q)
+    degrees = {s: Fraction(rng.randint(-2, 4)) for s in p.basis}
+    for derived in (
+        parse_profile(serialize_profile(p)),
+        blow_up_point(p, "Ex")[0],
+        blow_up_curve(p, "Ex", rng.randint(0, 2), degrees)[0],
+        p.with_flags(flag(FlagKind.UNIRULED)),
+        p.with_named_divisors(Zz=DivisorExpr.symbol(p.basis[-1]), A=DivisorExpr.zero()),
+    ):
+        assert_canonical_fields(derived)
 
 
 def test_copies_still_reject_what_the_constructor_rejects():
@@ -515,9 +550,13 @@ def _curve_data(rng, p, rational):
 
 
 def assert_same_profile(actual, expected):
-    """Equal as profiles, as tensors, as file bytes and as validation reports."""
+    """Equal as profiles, as tensors, as file bytes and as validation reports,
+    with the c2 vector and the named divisors in one stored form."""
     assert actual == expected
     assert dict(actual.triple) == dict(expected.triple)
+    for field in ("c2_vector", "named_divisors"):
+        assert list(getattr(actual, field).items()) == list(getattr(expected, field).items())
+    assert_canonical_fields(actual)
     assert outcome(lambda: serialize_profile(actual)) == outcome(
         lambda: serialize_profile(expected)
     )
@@ -630,11 +669,12 @@ def test_blow_up_of_a_compiled_parent_compiles_its_own_tensor():
 
 def test_extension_rejects_entries_that_could_replace_inherited_ones():
     p = ThreefoldProfile(basis=["H"], triple={("H", "H", "H"): 1})
+    c2 = {**p.c2_vector, "E": Fraction(0)}
     for key in (("H", "H", "H"), ("H", "E", "E"), ("E", "E", "Q")):
         with pytest.raises(ValueError, match="is not sorted basis symbols with 'E'"):
-            p._extended("E", {key: Fraction(1)}, {}, p.canonical, frozenset())
+            p._extended("E", {key: Fraction(1)}, c2, p.canonical, frozenset())
     q = p._extended("E", {("E", "H", "H"): Fraction(0), ("E", "E", "E"): Fraction(2)},
-                    {}, p.canonical, frozenset())
+                    c2, p.canonical, frozenset())
     assert dict(q.triple) == {("H", "H", "H"): 1, ("E", "E", "E"): 2}
     assert dict(p.triple) == {("H", "H", "H"): 1} and p.basis == ("H",)
 

@@ -73,6 +73,12 @@ class TestChiLineBundle:
         d = random_divisor(rng, p.basis)
         assert chi_line_bundle(p, p.canonical - d) == -chi_line_bundle(p, d)
 
+    def test_chi_class_takes_degree_one_classes(self):
+        K = ClassExpr.symbol("K")
+        for D, canonical in ((ClassExpr.c2_atom(), K), (K, K * K)):
+            with pytest.raises(ValueError, match="chi_class expects degree-one classes"):
+                chi_class(D, canonical)
+
     def test_chi_expression_records_divisor(self):
         p = get("P3").profile
         expr = chi_expression(H, p.canonical)

@@ -45,6 +45,8 @@ class TestBundleValidation:
             QTwistedBundle(2, ClassExpr.c2_atom(), ZERO2, ZERO1)
         with pytest.raises(ValueError):
             QTwistedBundle(2, K, K, ZERO1)
+        with pytest.raises(ValueError):
+            QTwistedBundle(2, K, ZERO2, ZERO2)
 
 
 class TestTwistC1:

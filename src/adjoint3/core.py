@@ -93,12 +93,13 @@ class DoubleC2AtomError(CalcError):
 def rat(value: RationalInput) -> Fraction:
     """Coerce to an exact rational. Floats and booleans are rejected, never coerced.
 
+    The result is always a plain `Fraction`, a `Fraction` subclass included.
     A string must read exactly ``p`` or ``p/q`` with an optional sign:
     decimals, exponents and surrounding whitespace raise `ValueError`, and
     a zero denominator raises `ZeroDivisionError`.
     """
     if isinstance(value, Fraction):
-        return value
+        return value if type(value) is Fraction else Fraction(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
@@ -166,7 +167,8 @@ def _pretty_terms(parts: list[tuple[Fraction, str]]) -> str:
 def _canonical(terms: _Terms[_K], degree: int | None = None) -> dict[_K, Fraction]:
     """The canonical form of a sum of (key, value) terms.
 
-    Values are summed with `rat`, zero sums are dropped and keys sorted.
+    Each value is converted once with `rat` and added only when its key
+    repeats; zero sums are dropped and keys sorted.
     Each key is checked as it comes: with an integer ``degree`` it is a
     monomial, stored as the sorted tuple of its ``degree`` symbol names;
     otherwise it is a symbol name.  Symbol names are non-empty strings.
@@ -180,7 +182,11 @@ def _canonical(terms: _Terms[_K], degree: int | None = None) -> dict[_K, Fractio
             key = mono
         elif not isinstance(key, str) or not key:
             raise TypeError("symbol names must be non-empty strings")
-        acc[key] = acc.get(key, _ZERO) + rat(value)
+        value = rat(value)
+        if key in acc:
+            acc[key] += value
+        else:
+            acc[key] = value
     return {k: v for k, v in sorted(acc.items()) if v != 0}
 
 

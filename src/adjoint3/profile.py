@@ -20,19 +20,20 @@ picks one by a fixed rule, so certificates do not depend on set order.
 The constructor is the one door for basis symbols: a triple key that is
 not three basis symbols raises `ValueError`, and a c2 key, canonical
 class, named divisor (by name) or flag subject (by text) naming another
-symbol raises `UnknownSymbolError`, for the first offender in that order.
-So `validate` checks only the numeric rules.  Each field has one stored
-form.  The triple tensor is kept on sorted symbol triples, zeros dropped;
-the constructor accepts a triple under any of its orders, and raises
-`ValueError` when two orders of one triple carry different values.  The
-c2 vector is kept over every basis symbol in basis order, zero where the
-input leaves one out, and the named divisors in name order, a repeated
-name keeping its last value.  On first evaluation the tensor is compiled
-into an `IntegerTensor`: one common denominator L and a dense integer
-tensor T on basis positions, where T[i][j][k] / L is the value of the
-triple in every order of i, j and k.  Evaluations multiply integers and
-build one `Fraction` at the end, so they return the very rationals the
-`Fraction` arithmetic would.  Copies made by `with_flags` and
+symbol raises `UnknownSymbolError`, for the first offender in that order;
+a named divisor whose name is not a string raises `ValueError`, as a basis
+symbol outside the grammar does.  So `validate` checks only the numeric
+rules.  Each field has one stored form.  The triple tensor is kept on
+sorted symbol triples, zeros dropped; the constructor accepts a triple
+under any of its orders, and raises `ValueError` when two orders of one
+triple carry different values.  The c2 vector is kept over every basis
+symbol in basis order, zero where the input leaves one out, and the named
+divisors in name order, a repeated name keeping its last value.  On first
+evaluation the tensor is compiled into an `IntegerTensor`: one common
+denominator L and a dense integer tensor T on basis positions, where
+T[i][j][k] / L is the value of the triple in every order of i, j and k.
+Evaluations multiply integers and build one `Fraction` at the end, so they
+return the very rationals the `Fraction` arithmetic would.  Copies made by `with_flags` and
 `with_named_divisors` share all validated data, the compiled form
 included, and check only the flags and divisors they add.  A blow-up
 (`birational`) extends its parent the same way: it takes its c2 vector
@@ -285,6 +286,9 @@ class ThreefoldProfile(_Record):
         self.flags = _checked_flags(flags)
         named = named_divisors.items() if isinstance(named_divisors, Mapping) else named_divisors
         named = {n: _coerce_divisor(d) for n, d in named}
+        for n in named:
+            if not isinstance(n, str):
+                raise ValueError(f"named divisor name {n!r} is not a string")
         self.named_divisors = MappingProxyType(dict(sorted(named.items())))
         self._check_symbols(c2, "c2 vector")
         self._check_symbols(self.canonical.symbols(), "canonical class")

@@ -23,10 +23,18 @@ symbols = st.sampled_from(("A", "K", "H", "E"))
 divisors = st.dictionaries(symbols, rationals, max_size=4).map(DivisorExpr)
 
 
+class _Rational(Fraction):
+    """A `Fraction` subclass, as a caller's own rational type may be."""
+
+
 def test_rat_accepts_exact_inputs():
     assert rat(3) == Fraction(3)
     assert rat("5/4") == Fraction(5, 4)
     assert rat(Fraction(-7, 2)) == Fraction(-7, 2)
+    # so every stored coefficient, scalar and profile entry has one type
+    for value in (3, "5/4", Fraction(-7, 2), _Rational(-7, 2)):
+        assert type(rat(value)) is Fraction
+    assert rat(_Rational(-7, 2)) == Fraction(-7, 2)
 
 
 @pytest.mark.parametrize(
@@ -282,3 +290,65 @@ class TestNumberExpr:
         rhs = NumberExpr.chi_o_atom(-24)
         assert identity_check(lhs, rhs)
         assert lhs != rhs  # distinct raw forms, equal canonical forms
+
+
+# -- the normaliser's contract ---------------------------------------------------
+
+
+# one rational in each form the constructors accept
+_values = st.one_of(
+    st.integers(-6, 6),
+    rationals.map(lambda q: f"{q.numerator}/{q.denominator}"),
+    rationals,
+    rationals.map(_Rational),
+)
+
+
+def _keys(degree):
+    # a symbol name, or a monomial of `degree` names in any order
+    if degree is None:
+        return symbols
+    return st.lists(symbols, min_size=degree, max_size=degree).map(tuple)
+
+
+@st.composite
+def _term_lists(draw, degree):
+    """Terms whose keys repeat in any order, some of them cancelling to zero."""
+    terms = draw(st.lists(st.tuples(_keys(degree), _values), max_size=8))
+    cancelled = draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []
+    for key, value in cancelled:
+        if degree is not None:
+            key = tuple(draw(st.permutations(key)))
+        terms.append((key, -Fraction(value)))
+    return draw(st.permutations(terms))
+
+
+def _reference(terms, degree):
+    """Sum per sorted key in `Fraction`s, drop zeros, sort the keys."""
+    sums = {}
+    for key, value in terms:
+        key = key if degree is None else tuple(sorted(key))
+        sums[key] = sums.get(key, Fraction(0)) + Fraction(value)
+    return {key: v for key, v in sorted(sums.items()) if v != 0}
+
+
+def _assert_canonical(stored, terms, degree):
+    expected = _reference(terms, degree)
+    assert list(stored.items()) == list(expected.items())
+    assert all(type(v) is Fraction for v in stored.values())
+
+
+@given(
+    _term_lists(None),
+    _term_lists(1),
+    _term_lists(2),
+    _term_lists(3),
+    _term_lists(None),
+)
+def test_every_expression_sums_its_terms_per_key(divisor, linear, quadratic, cubic, pairings):
+    _assert_canonical(DivisorExpr(divisor).coefficients, divisor, None)
+    _assert_canonical(ClassExpr(1, linear).terms, linear, 1)
+    _assert_canonical(ClassExpr(2, quadratic).terms, quadratic, 2)
+    number = NumberExpr(cubic, pairings)
+    _assert_canonical(number.cubic_terms, cubic, 3)
+    _assert_canonical(number.c2_pairings, pairings, None)

@@ -1,22 +1,25 @@
 """The integer kernel and the ring's substitution against the loops they replaced.
 
 `ThreefoldProfile.triple_eval`, `number_eval` and the ring product under
-`expand_product` multiply integers over common denominators, and
+`expand_product` multiply integers over common denominators;
 `ClassExpr.substitute` and `NumberExpr.substitute` multiply the lifted
-divisors through `expand_product`.  The reference functions below are the
-plain `Fraction` loops and expanders those methods ran before; every
-public result must equal theirs exactly, in value and in type.
+divisors through `expand_product`; and `core._canonical` adds a value only
+when its key repeats.  The reference functions below are the plain
+`Fraction` loops and expanders those functions ran before; every public
+result must equal theirs exactly, in value and in type.
 """
 
 import contextlib
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
+from typing import Mapping
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjoint3 import (
+    CalcError,
     ClassExpr,
     DivisorExpr,
     FlagKind,
@@ -28,6 +31,8 @@ from adjoint3 import (
     bound_fukuma_gap,
     bound_fukuma_ka,
     bound_nefbig,
+    certify_h0_adjoint,
+    certify_h0_bs,
     chi_line_bundle,
     expand_divisors,
     expand_product,
@@ -36,6 +41,7 @@ from adjoint3 import (
     parse_profile,
     serialize_profile,
 )
+from adjoint3 import core
 from adjoint3 import profile as profile_mod
 
 _ZERO = Fraction(0)
@@ -144,6 +150,21 @@ def reference_number_substitute(expr, mapping):
     return NumberExpr(cubic, pairings, expr.chi_o_coeff, expr.constant)
 
 
+def reference_canonical(terms, degree=None):
+    """`core._canonical` as it was: every value added to a zero sum."""
+    acc = {}
+    for key, value in terms.items() if isinstance(terms, Mapping) else terms:
+        if degree is not None:
+            mono = tuple(sorted(key))
+            if len(mono) != degree or not all(isinstance(s, str) and s for s in mono):
+                raise ValueError(f"monomial {key!r} does not have degree {degree}")
+            key = mono
+        elif not isinstance(key, str) or not key:
+            raise TypeError("symbol names must be non-empty strings")
+        acc[key] = acc.get(key, _ZERO) + core.rat(value)
+    return {k: v for k, v in sorted(acc.items()) if v != 0}
+
+
 @contextlib.contextmanager
 def reference_path():
     """Route the library through the reference loops."""
@@ -223,6 +244,38 @@ def numbers(draw):
     return NumberExpr(cubic, pairings, draw(zero_or_rational), draw(zero_or_rational))
 
 
+@st.composite
+def certified_cases(draw):
+    """A dense profile of up to eight symbols with rational entries, A, H
+    and D with mixed denominators, and flags for both certifiers' routes."""
+    basis = tuple(f"B{i}" for i in range(draw(st.integers(1, 8))))
+    keys = list(combinations_with_replacement(basis, 3))
+    values = draw(st.lists(rationals, min_size=len(keys), max_size=len(keys)))
+    K = draw(divisors(basis))
+    A, H, D = (draw(divisors(basis).filter(bool)) for _ in range(3))
+    ka, k2a = K + A, K + 2 * A
+    nu, u, iz = FlagKind.NOT_UNIRULED, FlagKind.UNIRULED, FlagKind.IRREGULARITY_ZERO
+    variety = draw(st.sampled_from([(), (nu,), (u,), (iz,), (u, iz)]))
+    optional = [flag(FlagKind.PSEUDO_EFFECTIVE, -K)]
+    if ka:
+        optional += [flag(FlagKind.NEF, ka), flag(FlagKind.NEF_AND_BIG, ka)]
+    flags = [flag(FlagKind.AMPLE, A), *map(flag, variety)]
+    flags += [f for f in optional if draw(st.booleans())]
+    if k2a:
+        # certify_h0_bs requires K+2A nef, which a numerically trivial class is
+        kind = draw(st.sampled_from([FlagKind.NEF, FlagKind.NEF, FlagKind.NUMERICALLY_TRIVIAL]))
+        flags.append(flag(kind, k2a))
+    p = ThreefoldProfile(
+        basis=basis,
+        triple=dict(zip(keys, values)),
+        c2_vector={s: draw(rationals) for s in basis},
+        chi_O=draw(st.integers(-1, 3)),
+        canonical=K,
+        flags=flags,
+    )
+    return p, (A, H, D)
+
+
 # symbols left out of a mapping stay as they are
 mappings = st.dictionaries(st.sampled_from(SYMBOLS), divisors(("E", "G", "H")), max_size=3)
 
@@ -265,6 +318,45 @@ def test_bounds_chi_and_miyaoka_match_fraction_loops(case):
         expected = [call() for call in calls]
     for call, value in zip(calls, expected):
         _same(call(), value)
+
+
+def _parts(value):
+    # a Miyaoka test or a refusal is a tuple, a certificate a record
+    if isinstance(value, tuple):
+        return value
+    return value._fields() if isinstance(value, core._Record) else (value,)
+
+
+def _outcome(call):
+    # a certifier may refuse the profile; the refusal is compared too
+    try:
+        return call()
+    except CalcError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(certified_cases())
+def test_evaluations_and_certificates_match_the_adding_normaliser(case):
+    # `_canonical` stores a key's first value and adds only when the key repeats
+    p, (A, H, D) = case
+    calls = [
+        lambda: chi_line_bundle(p, D),
+        lambda: bound_fukuma_ka(p, A),
+        lambda: bound_fukuma_gap(p, A),
+        lambda: bound_nefbig(p, A),
+        lambda: bound_bs(p, A),
+        lambda: miyaoka_c2_inequality(p, A, H),
+        lambda: certify_h0_adjoint(p, A),
+        lambda: certify_h0_bs(p, A),
+    ]
+    with mock.patch.object(core, "_canonical", reference_canonical):
+        expected = [_outcome(call) for call in calls]
+    for call, value in zip(calls, expected):
+        actual = _outcome(call)
+        _same(actual, value)
+        for part, expected_part in zip(_parts(actual), _parts(value), strict=True):
+            _same(part, expected_part)
 
 
 @settings(max_examples=150, deadline=None)

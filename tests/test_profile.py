@@ -127,6 +127,16 @@ class TestValidation:
         assert p3.with_named_divisors(a=2 * H).named_divisors["a"] == 2 * H
         assert "a" not in p3.named_divisors and flags[1] not in p3.flags
 
+    @pytest.mark.parametrize("names", [[1], ["A", 1]], ids=["int", "mixed"])
+    def test_named_divisor_name_that_is_not_a_string_rejected(self, names):
+        # an int name once serialized under "1" and read back as another
+        # profile; names of mixed types raised a bare TypeError from the sort
+        with pytest.raises(ValueError, match=r"^named divisor name 1 is not a string$"):
+            p3_profile(named_divisors={name: H for name in names})
+        # the name as a profile file holds it reads back as the same profile
+        p = p3_profile(named_divisors={"1": H})
+        assert parse_profile(serialize_profile(p)) == p
+
     def test_duplicate_basis_rejected(self):
         with pytest.raises(ValueError):
             ThreefoldProfile(basis=("H", "H"), triple={})

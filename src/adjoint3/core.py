@@ -17,17 +17,22 @@ product of top degree three is a `NumberExpr`.
 Every expression is kept in one canonical form: its terms are a dict from
 keys (a symbol name, or a sorted tuple of names for a monomial) to nonzero
 `Fraction` coefficients, sorted by key.  One function, `_canonical`,
-establishes it for every constructor -- `DivisorExpr`, the monomials of
-`ClassExpr`, and the cubic part and the c2 pairings of `NumberExpr` -- and
-the arithmetic only hands it raw (key, value) pairs.  Equal expressions
-therefore have equal terms, and equality decides identities.
+establishes it for terms that come from outside the ring: the constructors
+(`DivisorExpr`, the monomials of `ClassExpr`, and the cubic part and the c2
+pairings of `NumberExpr`), both `substitute` methods, and `DivisorExpr`
+arithmetic.  The ring's own operations on `ClassExpr` and `NumberExpr` --
+sums, scalar multiples and `_mul_class` -- start from canonical operands
+and build canonical results directly: `_merged` adds two term dicts,
+`_scaled` multiplies one by a scalar, and a product sorts its keys once.
+Equal expressions therefore have equal terms, and equality decides
+identities.
 
 `_Record` is the one equality and hash protocol of the package: every
 immutable value type (the three expressions here, `PositivityFlag`,
 `ThreefoldProfile`, `Certificate` and `QTwistedBundle`) compares and hashes
 the tuple its `_fields` returns.  An expression's tuple holds its terms as
-item tuples in dict order, which is exact only because `_canonical` sorts
-every key: equal expressions list equal items in the same order.
+item tuples in dict order, which is exact only because every expression's
+keys are sorted: equal expressions list equal items in the same order.
 `_Linear`, the base of the three expressions, adds ``zero()``, ``-``,
 negation and the scalar on the left to each type's own ``+`` and ``*``.
 
@@ -165,8 +170,11 @@ def _pretty_terms(parts: list[tuple[Fraction, str]]) -> str:
 
 
 def _canonical(terms: _Terms[_K], degree: int | None = None) -> dict[_K, Fraction]:
-    """The canonical form of a sum of (key, value) terms.
+    """The canonical form of a sum of (key, value) terms from outside the ring.
 
+    The constructors, both `substitute` methods and `DivisorExpr`
+    arithmetic come here; the ring's sums, scalar multiples and products
+    of canonical operands do not (`_merged`, `_scaled`, `_mul_class`).
     Each value is converted once with `rat` and added only when its key
     repeats; zero sums are dropped and keys sorted.
     Each key is checked as it comes: with an integer ``degree`` it is a
@@ -188,6 +196,35 @@ def _canonical(terms: _Terms[_K], degree: int | None = None) -> dict[_K, Fractio
         else:
             acc[key] = value
     return {k: v for k, v in sorted(acc.items()) if v != 0}
+
+
+def _merged(a: dict[_K, Fraction], b: dict[_K, Fraction]) -> dict[_K, Fraction]:
+    """The canonical sum of two canonical term dicts.
+
+    A value is added only where a key is in both, a zero sum is dropped,
+    and the keys are sorted once.  The result may be one of the operands,
+    which no expression ever mutates.
+    """
+    if not b:
+        return a
+    if not a:
+        return b
+    acc = dict(a)
+    for key, value in b.items():
+        if key in acc:
+            total = acc[key] + value
+            if total:
+                acc[key] = total
+            else:
+                del acc[key]
+        else:
+            acc[key] = value
+    return dict(sorted(acc.items()))
+
+
+def _scaled(terms: dict[_K, Fraction], q: Fraction) -> dict[_K, Fraction]:
+    """The canonical terms ``q`` times canonical ``terms``: none when q = 0."""
+    return {k: v * q for k, v in terms.items()} if q else {}
 
 
 class _Record:
@@ -248,13 +285,12 @@ class DivisorExpr(_Linear):
     immutable; all arithmetic returns new objects.
     """
 
-    __slots__ = ("_coeffs", "_items")
+    # the terms are stored once, as the canonical dict; `items()` and the
+    # tuple `==` and `hash` compare are built from it on demand
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: _Terms[str] = ()):
         self._coeffs = _canonical(coeffs)
-        # the terms as the tuple `==` and `hash` compare, built once rather
-        # than at each comparison on the flag-lookup path
-        self._items = tuple(self._coeffs.items())
 
     @classmethod
     def symbol(cls, name: str, coeff: RationalInput = 1) -> "DivisorExpr":
@@ -271,7 +307,7 @@ class DivisorExpr(_Linear):
         return frozenset(self._coeffs)
 
     def items(self) -> tuple[tuple[str, Fraction], ...]:
-        return self._items
+        return tuple(self._coeffs.items())
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -294,7 +330,7 @@ class DivisorExpr(_Linear):
         return DivisorExpr({s: c * q for s, c in self._coeffs.items()})
 
     def _fields(self) -> tuple:
-        return self._items
+        return tuple(self._coeffs.items())
 
     def __str__(self) -> str:
         return _pretty_terms([(c, s) for s, c in self._coeffs.items()])
@@ -327,6 +363,13 @@ class ClassExpr(_Linear):
         if c2 != 0 and degree != 2:
             raise ValueError("the c2 atom is a degree-2 class")
         self._c2 = c2
+
+    @classmethod
+    def _built(cls, degree: int, terms: dict, c2: Fraction) -> "ClassExpr":
+        """A class from parts already in canonical form, set without checks."""
+        new = object.__new__(cls)
+        new._degree, new._terms, new._c2 = degree, terms, c2
+        return new
 
     @classmethod
     def scalar(cls, value: RationalInput) -> "ClassExpr":
@@ -378,10 +421,8 @@ class ClassExpr(_Linear):
             raise ValueError(
                 f"cannot add classes of degrees {self._degree} and {other._degree}"
             )
-        return ClassExpr(
-            self._degree,
-            (*self._terms.items(), *other._terms.items()),
-            self._c2 + other._c2,
+        return ClassExpr._built(
+            self._degree, _merged(self._terms, other._terms), self._c2 + other._c2
         )
 
     def __mul__(self, other):
@@ -390,9 +431,7 @@ class ClassExpr(_Linear):
         if isinstance(other, NumberExpr):
             raise TypeError("a NumberExpr has top degree; multiply by scalars only")
         q = rat(other)
-        return ClassExpr(
-            self._degree, {k: v * q for k, v in self._terms.items()}, self._c2 * q
-        )
+        return ClassExpr._built(self._degree, _scaled(self._terms, q), self._c2 * q)
 
     def _mul_class(self, other: "ClassExpr"):
         if self._degree == 0:
@@ -412,15 +451,15 @@ class ClassExpr(_Linear):
                 key = tuple(sorted(k1 + k2))
                 acc[key] = acc.get(key, 0) + v1 * v2
         scale = l1 * l2
-        poly = {key: Fraction(v, scale) for key, v in acc.items() if v}
+        poly = {key: Fraction(v, scale) for key, v in sorted(acc.items()) if v}
         if total <= 2:
             # degrees here are 1+1, so neither factor can carry the atom
-            return ClassExpr(total, poly)
-        pairings: list[tuple[str, Fraction]] = []
-        for atom, linear in ((self._c2, other), (other._c2, self)):
-            if atom != 0:
-                pairings += [(s, atom * v) for (s,), v in linear._terms.items()]
-        return NumberExpr(poly, pairings)
+            return ClassExpr._built(total, poly, _ZERO)
+        # degrees here are 1+2: only the quadratic factor can carry the atom,
+        # and it pairs with the sorted, nonzero terms of the linear one
+        atom, linear = (self._c2, other) if self._degree == 2 else (other._c2, self)
+        pairings = {s: atom * v for (s,), v in linear._terms.items()} if atom else {}
+        return NumberExpr._built(poly, pairings, _ZERO, _ZERO)
 
     def substitute(self, mapping: Mapping[str, DivisorExpr]) -> "ClassExpr":
         """Replace symbols by divisor expressions; the c2 atom is untouched."""
@@ -467,6 +506,15 @@ class NumberExpr(_Linear):
         self._const = rat(constant)
 
     @classmethod
+    def _built(
+        cls, cubic: dict, pairings: dict, chi_o: Fraction, const: Fraction
+    ) -> "NumberExpr":
+        """A number from parts already in canonical form, set without checks."""
+        new = object.__new__(cls)
+        new._cubic, new._pairings, new._chi_o, new._const = cubic, pairings, chi_o, const
+        return new
+
+    @classmethod
     def chi_o_atom(cls, coeff: RationalInput = 1) -> "NumberExpr":
         return cls(chi_o_coeff=coeff)
 
@@ -506,9 +554,9 @@ class NumberExpr(_Linear):
     def __add__(self, other: "NumberExpr") -> "NumberExpr":
         if not isinstance(other, NumberExpr):
             return NotImplemented
-        return NumberExpr(
-            (*self._cubic.items(), *other._cubic.items()),
-            (*self._pairings.items(), *other._pairings.items()),
+        return NumberExpr._built(
+            _merged(self._cubic, other._cubic),
+            _merged(self._pairings, other._pairings),
             self._chi_o + other._chi_o,
             self._const + other._const,
         )
@@ -517,9 +565,9 @@ class NumberExpr(_Linear):
         if isinstance(scalar, (ClassExpr, NumberExpr, DivisorExpr)):
             raise TypeError("a NumberExpr has top degree; multiply by scalars only")
         q = rat(scalar)
-        return NumberExpr(
-            {k: v * q for k, v in self._cubic.items()},
-            {s: v * q for s, v in self._pairings.items()},
+        return NumberExpr._built(
+            _scaled(self._cubic, q),
+            _scaled(self._pairings, q),
             self._chi_o * q,
             self._const * q,
         )

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjoint3 import (
@@ -113,6 +113,13 @@ class TestDivisorExpr:
         d = 2 * (h + e) - e
         assert d.coefficient("H") == 2 and d.coefficient("E") == 1
         assert (Fraction(1, 2) * h).coefficient("H") == Fraction(1, 2)
+
+    def test_terms_are_stored_once(self):
+        # one canonical dict; `items()` and the compared tuple are read from it
+        d = DivisorExpr({"H": 2, "E": Fraction(-1, 2)})
+        assert DivisorExpr.__slots__ == ("_coeffs",)
+        assert d.items() == (("E", Fraction(-1, 2)), ("H", Fraction(2)))
+        assert d._fields() == d.items()
 
     def test_divisor_times_divisor_is_rejected(self):
         h = DivisorExpr.symbol("H")
@@ -338,6 +345,17 @@ def _assert_canonical(stored, terms, degree):
     assert all(type(v) is Fraction for v in stored.values())
 
 
+@settings(max_examples=50)
+@given(_term_lists(None), st.randoms(use_true_random=False))
+def test_shuffled_and_repeated_terms_give_the_canonical_divisor(terms, rng):
+    canonical = DivisorExpr(_reference(terms, None))
+    shuffled = rng.sample(terms, len(terms))
+    for built in (DivisorExpr(shuffled), Fraction(1, 2) * DivisorExpr(shuffled * 2)):
+        assert built == canonical and hash(built) == hash(canonical)
+        assert built.items() == canonical.items() == tuple(_reference(terms, None).items())
+        assert type(built.items()) is tuple and all(type(item) is tuple for item in built.items())
+
+
 @given(
     _term_lists(None),
     _term_lists(1),
@@ -352,3 +370,111 @@ def test_every_expression_sums_its_terms_per_key(divisor, linear, quadratic, cub
     number = NumberExpr(cubic, pairings)
     _assert_canonical(number.cubic_terms, cubic, 3)
     _assert_canonical(number.c2_pairings, pairings, None)
+
+
+# -- the ring's operations on canonical operands ------------------------------------
+
+
+def _cancelling(draw, terms, degree):
+    """Raw terms that cancel all of ``terms``, or some of them beside new ones."""
+    items = list(terms.items())
+    if items and draw(st.booleans()):
+        return [(key, -v) for key, v in items]
+    cancelled = draw(st.lists(st.sampled_from(items), unique=True)) if items else []
+    return [(key, -v) for key, v in cancelled] + draw(_term_lists(degree))
+
+
+@st.composite
+def _operand_pairs(draw):
+    """Two classes of one degree, or two numbers, whose sum cancels terms."""
+    zero_or_rational = st.just(0) | rationals
+    degree = draw(st.sampled_from([0, 1, 2, 3]))
+    if degree < 3:
+        c2 = zero_or_rational if degree == 2 else st.just(0)
+        a = ClassExpr(degree, draw(_term_lists(degree)), draw(c2))
+        b_c2 = draw(c2 | st.just(-a.c2_atom_coeff))
+        return a, ClassExpr(degree, _cancelling(draw, a.terms, degree), b_c2)
+    a = NumberExpr(
+        draw(_term_lists(3)),
+        draw(_term_lists(None)),
+        draw(zero_or_rational),
+        draw(zero_or_rational),
+    )
+    b = NumberExpr(
+        _cancelling(draw, a.cubic_terms, 3),
+        _cancelling(draw, a.c2_pairings, None),
+        -a.chi_o_coeff,
+        draw(zero_or_rational),
+    )
+    return a, b
+
+
+def _raw_scaled(expr, q):
+    """``q * expr``, built again by the constructor from raw terms."""
+    if isinstance(expr, ClassExpr):
+        terms = [(k, q * v) for k, v in expr.terms.items()]
+        return ClassExpr(expr.degree, terms, q * expr.c2_atom_coeff)
+    return NumberExpr(
+        [(k, q * v) for k, v in expr.cubic_terms.items()],
+        [(s, q * v) for s, v in expr.c2_pairings.items()],
+        q * expr.chi_o_coeff,
+        q * expr.constant,
+    )
+
+
+def _raw_sum(a, b):
+    if isinstance(a, ClassExpr):
+        terms = [*a.terms.items(), *b.terms.items()]
+        return ClassExpr(a.degree, terms, a.c2_atom_coeff + b.c2_atom_coeff)
+    return NumberExpr(
+        [*a.cubic_terms.items(), *b.cubic_terms.items()],
+        [*a.c2_pairings.items(), *b.c2_pairings.items()],
+        a.chi_o_coeff + b.chi_o_coeff,
+        a.constant + b.constant,
+    )
+
+
+def _assert_canonical_result(result, expected):
+    """``result`` equals the constructor-built ``expected``, its keys sorted
+    and of the right degree, every value a nonzero `Fraction`."""
+    assert type(result) is type(expected) and result == expected
+    if isinstance(result, ClassExpr):
+        parts = [(result.terms, result.degree)]
+        scalars = [result.c2_atom_coeff]
+    else:
+        parts = [(result.cubic_terms, 3), (result.c2_pairings, None)]
+        scalars = [result.chi_o_coeff, result.constant]
+    for terms, degree in parts:
+        keys = list(terms)
+        assert keys == sorted(keys)
+        if degree is not None:
+            assert all(len(k) == degree and list(k) == sorted(k) for k in keys)
+        assert all(type(v) is Fraction and v != 0 for v in terms.values())
+    assert all(type(v) is Fraction for v in scalars)
+
+
+@settings(max_examples=50)
+@given(_operand_pairs(), rationals)
+def test_sums_and_scalar_multiples_keep_canonical_form(pair, q):
+    a, b = pair
+    _assert_canonical_result(a + b, _raw_sum(a, b))
+    _assert_canonical_result(a - a, _raw_sum(a, _raw_scaled(a, -1)))
+    for scalar in (0, -1, Fraction(-5, 3), Fraction(1, 2), q):
+        expected = _raw_scaled(a, Fraction(scalar))
+        _assert_canonical_result(scalar * a, expected)
+        _assert_canonical_result(a * scalar, expected)
+
+
+@settings(max_examples=50)
+@given(_term_lists(1), _term_lists(1), _term_lists(2), rationals.filter(bool))
+def test_products_keep_canonical_form(first, second, quadratic, c2):
+    lin1, lin2 = ClassExpr(1, first), ClassExpr(1, second)
+    quad = ClassExpr(2, quadratic, c2)
+    for x, y in ((lin1, lin2), (quad, lin1), (lin1, quad)):
+        poly = [(kx + ky, vx * vy) for kx, vx in x.terms.items() for ky, vy in y.terms.items()]
+        if x.degree + y.degree == 2:
+            expected = ClassExpr(2, poly)
+        else:
+            atom, linear = (x.c2_atom_coeff, y) if x.degree == 2 else (y.c2_atom_coeff, x)
+            expected = NumberExpr(poly, [(s, atom * v) for (s,), v in linear.terms.items()])
+        _assert_canonical_result(x * y, expected)

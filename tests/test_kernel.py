@@ -1,15 +1,19 @@
-"""The integer kernel and the ring's substitution against the loops they replaced.
+"""The integer kernel and the ring's fast paths against the code they replaced.
 
 `ThreefoldProfile.triple_eval`, `number_eval` and the ring product under
 `expand_product` multiply integers over common denominators;
 `ClassExpr.substitute` and `NumberExpr.substitute` multiply the lifted
-divisors through `expand_product`; and `core._canonical` adds a value only
-when its key repeats.  The reference functions below are the plain
-`Fraction` loops and expanders those functions ran before; every public
-result must equal theirs exactly, in value and in type.
+divisors through `expand_product`; `core._canonical` adds a value only
+when its key repeats; and the ring's sums, scalar multiples and products
+build canonical results directly instead of handing raw terms to the
+constructors.  The reference functions below are the plain `Fraction`
+loops, expanders and constructor-built results those functions made
+before; every public result must equal theirs exactly, in value and in
+type, down to the order of each expression's keys.
 """
 
 import contextlib
+import functools
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from typing import Mapping
@@ -31,13 +35,21 @@ from adjoint3 import (
     bound_fukuma_gap,
     bound_fukuma_ka,
     bound_nefbig,
+    bs_class,
     certify_h0_adjoint,
     certify_h0_bs,
+    chi_class,
+    chi_expression,
+    chi_identity_suite,
     chi_line_bundle,
     expand_divisors,
     expand_product,
     flag,
+    fukuma_gap_class,
+    fukuma_ka_class,
     miyaoka_c2_inequality,
+    miyaoka_correction,
+    nefbig_class,
     parse_profile,
     serialize_profile,
 )
@@ -165,6 +177,64 @@ def reference_canonical(terms, degree=None):
     return {k: v for k, v in sorted(acc.items()) if v != 0}
 
 
+def reference_class_add(self, other):
+    if not isinstance(other, ClassExpr):
+        return NotImplemented
+    if self.degree != other.degree:
+        raise ValueError(f"cannot add classes of degrees {self.degree} and {other.degree}")
+    terms = (*self.terms.items(), *other.terms.items())
+    return ClassExpr(self.degree, terms, self.c2_atom_coeff + other.c2_atom_coeff)
+
+
+def reference_class_mul(self, other):
+    if isinstance(other, ClassExpr):
+        return self._mul_class(other)
+    if isinstance(other, NumberExpr):
+        raise TypeError("a NumberExpr has top degree; multiply by scalars only")
+    q = core.rat(other)
+    terms = {k: v * q for k, v in self.terms.items()}
+    return ClassExpr(self.degree, terms, self.c2_atom_coeff * q)
+
+
+def reference_number_add(self, other):
+    if not isinstance(other, NumberExpr):
+        return NotImplemented
+    return NumberExpr(
+        (*self.cubic_terms.items(), *other.cubic_terms.items()),
+        (*self.c2_pairings.items(), *other.c2_pairings.items()),
+        self.chi_o_coeff + other.chi_o_coeff,
+        self.constant + other.constant,
+    )
+
+
+def reference_number_mul(self, scalar):
+    if isinstance(scalar, (ClassExpr, NumberExpr, DivisorExpr)):
+        raise TypeError("a NumberExpr has top degree; multiply by scalars only")
+    q = core.rat(scalar)
+    return NumberExpr(
+        {k: v * q for k, v in self.cubic_terms.items()},
+        {s: v * q for s, v in self.c2_pairings.items()},
+        self.chi_o_coeff * q,
+        self.constant * q,
+    )
+
+
+@contextlib.contextmanager
+def reference_ring():
+    """Hand every sum, scalar multiple and product of the ring back to the
+    public constructors as raw terms, to be made canonical there."""
+    with contextlib.ExitStack() as stack:
+        for cls, name, reference in (
+            (ClassExpr, "__add__", reference_class_add),
+            (ClassExpr, "__mul__", reference_class_mul),
+            (ClassExpr, "_mul_class", reference_mul_class),
+            (NumberExpr, "__add__", reference_number_add),
+            (NumberExpr, "__mul__", reference_number_mul),
+        ):
+            stack.enter_context(mock.patch.object(cls, name, reference))
+        yield
+
+
 @contextlib.contextmanager
 def reference_path():
     """Route the library through the reference loops."""
@@ -288,6 +358,17 @@ def _same(actual, expected):
     assert actual == expected
 
 
+def _same_deep(actual, expected):
+    """`_same`, and so for every part: a record's `_fields()` in order (an
+    expression's keys included), and each item of a tuple or list."""
+    _same(actual, expected)
+    if isinstance(actual, core._Record):
+        actual, expected = actual._fields(), expected._fields()
+    if isinstance(actual, (tuple, list)):
+        for part, expected_part in zip(actual, expected, strict=True):
+            _same_deep(part, expected_part)
+
+
 @settings(max_examples=150, deadline=None)
 @given(profile_and_divisors())
 def test_triple_and_number_eval_match_fraction_loops(case):
@@ -320,13 +401,6 @@ def test_bounds_chi_and_miyaoka_match_fraction_loops(case):
         _same(call(), value)
 
 
-def _parts(value):
-    # a Miyaoka test or a refusal is a tuple, a certificate a record
-    if isinstance(value, tuple):
-        return value
-    return value._fields() if isinstance(value, core._Record) else (value,)
-
-
 def _outcome(call):
     # a certifier may refuse the profile; the refusal is compared too
     try:
@@ -353,10 +427,54 @@ def test_evaluations_and_certificates_match_the_adding_normaliser(case):
     with mock.patch.object(core, "_canonical", reference_canonical):
         expected = [_outcome(call) for call in calls]
     for call, value in zip(calls, expected):
-        actual = _outcome(call)
-        _same(actual, value)
-        for part, expected_part in zip(_parts(actual), _parts(value), strict=True):
-            _same(part, expected_part)
+        _same_deep(_outcome(call), value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(certified_cases(), classes(), numbers(), mappings, rationals)
+def test_ring_results_match_the_constructors(case, expr, number, mapping, c2_coeff):
+    # the ring's sums, scalar multiples and products build canonical terms
+    p, (A, H, D) = case
+    lift = ClassExpr.from_divisor
+    calls = [
+        lambda: chi_line_bundle(p, D),
+        lambda: chi_expression(D, p.canonical),
+        lambda: bound_fukuma_ka(p, A),
+        lambda: bound_fukuma_gap(p, A),
+        lambda: bound_nefbig(p, A),
+        lambda: bound_bs(p, A),
+        lambda: miyaoka_c2_inequality(p, A, H),
+        lambda: certify_h0_adjoint(p, A),
+        lambda: certify_h0_bs(p, A),
+        lambda: expr.substitute(mapping),
+        lambda: number.substitute(mapping),
+        # the atom on the right and on the left of the linear factor
+        lambda: expand_product([lift(A), lift(D) * lift(H) + ClassExpr.c2_atom(c2_coeff)]),
+        lambda: expand_product([ClassExpr.c2_atom(c2_coeff) - lift(A) * lift(A), lift(D)]),
+        # every key cancels, or is multiplied by zero
+        lambda: expand_divisors(A, D, H) - expand_divisors(H, A, D),
+        lambda: (lift(A) * 0, expand_divisors(A, D, H) * 0),
+    ]
+    with reference_ring():
+        expected = [_outcome(call) for call in calls]
+    for call, value in zip(calls, expected):
+        _same_deep(_outcome(call), value)
+
+
+def test_identity_suite_and_bound_forms_match_the_constructors():
+    K, A = ClassExpr.symbol("K"), ClassExpr.symbol("A")
+    forms = (miyaoka_correction, bs_class, nefbig_class, fukuma_ka_class, fukuma_gap_class)
+    calls = [
+        chi_identity_suite,
+        lambda: chi_class(K + 2 * A, K),
+        # the K^3 terms cancel
+        lambda: chi_class(K + 2 * A, K) - 2 * chi_class(K + A, K),
+        *(functools.partial(form, K, A) for form in forms),
+    ]
+    with reference_ring():
+        expected = [call() for call in calls]
+    for call, value in zip(calls, expected):
+        _same_deep(call(), value)
 
 
 @settings(max_examples=150, deadline=None)

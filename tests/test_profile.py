@@ -303,6 +303,14 @@ class TestFlags:
             assert p.find_flag(FlagKind.BIG, s) == flag(FlagKind.BIG, s)
         assert p.find_flag(FlagKind.PSEUDO_EFFECTIVE, 5 * H) is None
 
+    def test_find_flag_matches_an_equal_but_distinct_subject(self):
+        declared = flag(FlagKind.NEF, DivisorExpr({"H": Fraction(3, 2)}))
+        p = p3_profile(flags=(declared,))
+        for subject in (H + Fraction(1, 2) * H, DivisorExpr([("H", 1), ("H", "1/2")])):
+            assert subject is not declared.subject
+            assert p.find_flag(FlagKind.NEF, subject) is declared
+            assert p.find_flag(FlagKind.PSEUDO_EFFECTIVE, subject) is declared
+
     def test_derived_implications_equal_the_written_table(self):
         # the hand-written table the derived closure replaced
         reference = {

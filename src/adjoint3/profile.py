@@ -33,15 +33,18 @@ evaluation the tensor is compiled into an `IntegerTensor`: one common
 denominator L and a dense integer tensor T on basis positions, where
 T[i][j][k] / L is the value of the triple in every order of i, j and k.
 Evaluations multiply integers and build one `Fraction` at the end, so they
-return the very rationals the `Fraction` arithmetic would.  Copies made by `with_flags` and
-`with_named_divisors` share all validated data, the compiled form
-included, and check only the flags and divisors they add.  A blow-up
-(`birational`) extends its parent the same way: it takes its c2 vector
-(the exceptional symbol last) and canonical class as given, and checks
-only the exceptional triple entries it adds, whose sorted keys must name
-the new symbol, so none replaces an inherited one; the grown basis gets
-a compiled form of its own.  Construction, parsing, validation,
-serialization and blow-ups never compile.
+return the very rationals the `Fraction` arithmetic would.  Copies made
+by `with_flags` and `with_named_divisors` share all validated data, the
+compiled form included, and check only the flags and divisors they add.
+Two more paths skip the constructor's triple loop.  The reader
+(`profile_io`) builds the stored tensor from a file's records itself and
+hands it to `_parsed`, which runs the constructor on every other field.
+A blow-up (`birational`) extends its parent in `_extended`: it takes its
+c2 vector (the exceptional symbol last) and canonical class as given, and
+checks only the exceptional triple entries it adds, whose sorted keys
+must name the new symbol, so none replaces an inherited one; the grown
+basis gets a compiled form of its own.  Construction, parsing,
+validation, serialization and blow-ups never compile.
 """
 
 from __future__ import annotations
@@ -261,14 +264,25 @@ class ThreefoldProfile(_Record):
         items = triple.items() if isinstance(triple, Mapping) else triple
         self._symbols = symbols = frozenset(self.basis)
         stored: dict[tuple[str, str, str], Fraction] = {}
+        converted: dict = {}  # each distinct int or str value, by (type, value), converted once
         for key, value in items:
             key = tuple(key)
             a, b, c = key if len(key) == 3 else (None, None, None)
             if not (a in symbols and b in symbols and c in symbols):
                 raise ValueError(f"triple key {key!r} is not three basis symbols")
-            if not a <= b <= c:
-                key = tuple(sorted(key))
-            value = rat(value)
+            if a > b:  # name-sorted by compare-and-swap
+                a, b = b, a
+            if b > c:
+                b, c = c, b
+                if a > b:
+                    a, b = b, a
+            key = (a, b, c)
+            kind = type(value)
+            if kind is int or kind is str:
+                at = (kind, value)
+                value = converted[at] if at in converted else converted.setdefault(at, rat(value))
+            elif kind is not Fraction:
+                value = rat(value)
             known = stored.setdefault(key, value)
             if known is not value and known != value:
                 raise ValueError(f"triple {key} is given two values, {known} and {value}")
@@ -436,6 +450,14 @@ class ThreefoldProfile(_Record):
         copy.canonical = canonical
         copy._compiled = [None]
         return copy
+
+    @classmethod
+    def _parsed(cls, basis, triple, *fields) -> "ThreefoldProfile":
+        # a profile file's fields in the constructor's order, the triple in its
+        # stored form (profile_io): the constructor checks every other field
+        p = cls(basis, (), *fields)
+        p.triple = MappingProxyType(triple)
+        return p
 
     def with_flags(self, *new_flags: PositivityFlag, replace: bool = False):
         new = _checked_flags(new_flags)

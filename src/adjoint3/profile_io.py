@@ -12,14 +12,14 @@ the object of the seven fields in `PROFILE_FIELDS` order, and the writer
 reproduces it without handing the whole object to json.dumps, whose
 indenting encoder is pure Python.  It writes the outer object itself and
 each field but ``triple`` as ``json.dumps(value, indent=2)`` indented one
-level.  The ``triple`` records, taken from the profile's tensor in sorted
-index order, hold only integers and ``p/q`` strings, so one ``%``
-template writes each record, and each distinct value is formatted once.
-Parsing reads each triple record in one pass, its four fields with one
-lookup, and converts each distinct value string once, since the values of
-a triple tensor are mostly a few small numbers.  A file that is not UTF-8
-text or not JSON, nested too deep to read included, is a
-`ProfileFormatError`.
+level.  Each triple record takes one pass each way.  The writer sorts
+each stored key's basis positions, formats each distinct value once,
+sorts the rows once and writes each with one ``%`` template.  The reader,
+once the basis is checked, reads a record's four fields with one lookup,
+converts each distinct value once and builds the stored tensor itself,
+which the constructor takes as given; a divisor text repeated in a file
+is parsed once.  A file that is not UTF-8 text or not JSON, nested too
+deep to read included, is a `ProfileFormatError`.
 
 Divisor expressions use the grammar ``coef*SYM (+|-) ...`` with rational
 coefficients ``p/q``; whitespace is insignificant, the star is optional,
@@ -33,6 +33,7 @@ canonical class ``K``.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -158,6 +159,8 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
         raise ProfileFormatError(
             f"'basis' must be a non-empty list of symbol names matching {_SYMBOL}"
         )
+    if len(set(basis)) != len(basis):  # before the records, which a repeat would confuse
+        raise ProfileFormatError("basis symbols must be distinct")
 
     try:
         canonical = parse_divisor(obj.get("canonical", "0"))
@@ -173,12 +176,12 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ProfileFormatError(f"bad c2 entry: {exc}") from exc
 
-    triple = {}
+    triple: dict[tuple[str, str, str], Fraction] = {}
     records = obj.get("triple", [])
     if not isinstance(records, list):
         raise ProfileFormatError("'triple' must be a list of {i, j, k, value} records")
     n = len(basis)
-    values: dict[str, Fraction] = {}  # each distinct value string, converted once
+    values: dict[str | int, Fraction] = {}  # each distinct str or int value, converted once
     read_record = itemgetter("i", "j", "k", "value")
     for record in records:
         try:
@@ -187,23 +190,32 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
             raise ProfileFormatError(f"bad triple record: {record!r}") from exc
         if type(i) is not int or type(j) is not int or type(k) is not int:
             raise ProfileFormatError(f"triple indices must be integers: {record!r}")
-        value = values.get(text) if type(text) is str else None
+        # a JSON true or 1.0 equals 1 as a key, and `rat` refuses it
+        value = values.get(text) if type(text) is str or type(text) is int else None
         if value is None:
             try:
-                value = rat(text)
+                value = values[text] = rat(text)
             except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise ProfileFormatError(f"bad triple record {record!r}: {exc}") from exc
-            if type(text) is str:
-                values[text] = value
         if not 0 <= i <= j <= k < n:
             in_range = 0 <= min(i, j, k) and max(i, j, k) < n
             what = "must be sorted, i <= j <= k" if in_range else "out of range"
             raise ProfileFormatError(f"triple indices {what}: {record!r}")
-        key = (basis[i], basis[j], basis[k])
+        a, b, c = basis[i], basis[j], basis[k]  # the key, name-sorted by compare-and-swap
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        key = (a, b, c)
         if key in triple:
             raise ProfileFormatError(f"duplicate triple record: {record!r}")
         triple[key] = value
+    if not all(values.values()):
+        triple = {key: v for key, v in triple.items() if v}
 
+    divisor = functools.cache(parse_divisor)  # each subject or named divisor text read once
     flags = []
     records = obj.get("flags", [])
     if not isinstance(records, list):
@@ -219,7 +231,7 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
         if subject_text is not None and not isinstance(subject_text, str):
             raise ProfileFormatError(f"flag subject must be a string: {record!r}")
         try:
-            subject = None if subject_text is None else parse_divisor(subject_text)
+            subject = None if subject_text is None else divisor(subject_text)
             flags.append(PositivityFlag(kind, subject))
         except (DivisorParseError, ValueError) as exc:
             raise ProfileFormatError(f"bad flag record {record!r}: {exc}") from exc
@@ -228,33 +240,16 @@ def profile_from_dict(obj: object) -> ThreefoldProfile:
     if not isinstance(named, dict) or not all(isinstance(t, str) for t in named.values()):
         raise ProfileFormatError("'named_divisors' must map names to expressions")
     try:
-        named_divisors = {name: parse_divisor(text) for name, text in named.items()}
+        named_divisors = {name: divisor(text) for name, text in named.items()}
     except DivisorParseError as exc:
         raise ProfileFormatError(f"bad named divisor: {exc}") from exc
 
     try:
-        return ThreefoldProfile(
-            basis=basis,
-            triple=triple,
-            c2_vector=c2_vector,
-            chi_O=chi_o,
-            canonical=canonical,
-            flags=flags,
-            named_divisors=named_divisors,
+        return ThreefoldProfile._parsed(
+            basis, triple, c2_vector, chi_o, canonical, flags, named_divisors
         )
     except (ValueError, TypeError) as exc:
         raise ProfileFormatError(str(exc)) from exc
-
-
-def _triple_rows(p: ThreefoldProfile) -> list[tuple[int, int, int, Fraction]]:
-    """The ``triple`` entries as sorted index triples, in index order."""
-    index = {s: i for i, s in enumerate(p.basis)}
-    rows = [
-        (*sorted((index[a], index[b], index[c])), value)
-        for (a, b, c), value in p.triple.items()
-    ]
-    rows.sort()
-    return rows
 
 
 # one ``triple`` record as json.dumps(..., indent=2) lays it out two levels deep
@@ -264,21 +259,29 @@ _TRIPLE_RECORD = (
 
 
 def _triple_text(p: ThreefoldProfile) -> str:
-    """The ``triple`` field's text: one `_TRIPLE_RECORD` per row, or ``[]``."""
-    rows = _triple_rows(p)
-    if not rows:
-        return "[]"
+    """The ``triple`` field's text: one `_TRIPLE_RECORD` per entry in index order, or ``[]``."""
+    index = {s: i for i, s in enumerate(p.basis)}
     # each distinct value object formatted once; keyed by identity, since a
     # parsed profile holds one Fraction per distinct value string, and a
     # Fraction's hash costs more than formatting it
     texts: dict[int, str] = {}
-    records = []
-    for i, j, k, value in rows:
+    rows = []
+    for (a, b, c), value in p.triple.items():
+        i, j, k = index[a], index[b], index[c]  # sorted by compare-and-swap
+        if i > j:
+            i, j = j, i
+        if j > k:
+            j, k = k, j
+            if i > j:
+                i, j = j, i
         text = texts.get(id(value))
         if text is None:
             text = texts[id(value)] = format_rational(value)
-        records.append(_TRIPLE_RECORD % (i, j, k, text))
-    return "[\n" + ",\n".join(records) + "\n  ]"
+        rows.append((i, j, k, text))
+    if not rows:
+        return "[]"
+    rows.sort()  # the index triples are distinct, so no text is compared
+    return "[\n" + ",\n".join([_TRIPLE_RECORD % row for row in rows]) + "\n  ]"
 
 
 def _field_text(value) -> str:

@@ -98,6 +98,19 @@ class TestValidate:
             error = {"type": "ProfileFormatError", "message": message}
             assert json.loads(out)["error"] == error
 
+    def test_repeated_basis_symbol_is_malformed_input(self, capsys, tmp_path):
+        # once reported as a duplicate triple record of the repeated symbol
+        obj = json.loads(serialize_profile(get("P3").profile))
+        obj["basis"] = ["H", "H"]
+        obj["c2"] = ["6/1", "0/1"]
+        obj["triple"].append({"i": 1, "j": 1, "k": 1, "value": "1/1"})
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out = run(capsys, "validate", str(path))
+        assert code == 2
+        error = {"type": "ProfileFormatError", "message": "basis symbols must be distinct"}
+        assert json.loads(out)["error"] == error
+
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")

@@ -5,7 +5,8 @@ and rejects two orders of one triple with different values and any
 symbol off the basis.  `with_flags`, `with_named_divisors` and the
 blow-ups copy the validated data instead of rebuilding it; a blow-up must
 equal the profile the constructor builds from the same fields.
-`profile_from_dict` reads each triple record in one loop, and
+`profile_from_dict` reads each triple record in one loop and builds the
+stored tensor itself, and the constructor checks every other field;
 `serialize_profile` takes its triple records from the tensor.  The
 reference functions below are those of the code before, kept verbatim
 but for the checks the constructor now makes (triple keys, and the
@@ -15,6 +16,7 @@ rejection (type and message) and every byte must equal theirs.
 
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
@@ -403,6 +405,97 @@ def test_true_and_one_do_not_share_a_converted_value():
         _same_parse(obj)
         with pytest.raises(ProfileFormatError, match="bad triple record"):
             profile_from_dict(obj)
+
+
+def test_constructor_values_do_not_share_a_converted_value():
+    # the constructor converts each distinct int or str value once, by type and value
+    keys = [("H", "H", "H"), ("E", "H", "H"), ("H", "E", "H")]
+    for later in (True, 1.0):
+        for key in keys[:2]:  # the same triple, or another
+            with pytest.raises(TypeError, match="expected an exact rational"):
+                ThreefoldProfile(["H", "E"], [(keys[0], 1), (key, later)])
+    with pytest.raises(TypeError, match="expected an exact rational .* got list"):
+        ThreefoldProfile(["H", "E"], [(keys[0], 1), (keys[1], [1])])
+
+    class Half(Fraction):
+        pass
+
+    p = ThreefoldProfile(["H", "E"], [(keys[0], Half(1, 2)), (keys[1], 1), (keys[2], 1)])
+    assert [type(v) for v in p.triple.values()] == [Fraction, Fraction]
+    assert dict(p.triple) == {keys[0]: Fraction(1, 2), ("E", "H", "H"): 1}
+    with pytest.raises(ValueError, match=r"triple \('E', 'H', 'H'\) is given two values, 1 and 2"):
+        ThreefoldProfile(["H", "E"], [(keys[1], 1), (keys[2], 2)])
+
+
+def _mutate_field(rng, obj):
+    """One malformed change to a field other than ``triple``: an off-basis symbol
+    in the canonical class, a flag subject or a named divisor, or a subject on a
+    variety-level flag."""
+    kind = rng.choice(["canonical", "subject", "named", "variety-level"])
+    stray = f"{rng.choice((1, 2, '1/2'))}*{rng.choice(OFF_BASIS)}"
+    if kind == "canonical":
+        obj["canonical"] = stray if obj["canonical"] == "0" else f"{obj['canonical']} + {stray}"
+    elif kind == "subject":
+        obj["flags"].insert(rng.randint(0, len(obj["flags"])),
+                            {"kind": rng.choice(DIVISOR_KINDS).value, "subject": stray})
+    elif kind == "named":
+        obj["named_divisors"][rng.choice(("S", "A", "a"))] = stray
+    else:
+        subject = f"1*{rng.choice(obj['basis'])}"
+        obj["flags"].insert(rng.randint(0, len(obj["flags"])),
+                            {"kind": rng.choice(sorted(VARIETY_LEVEL_KINDS)).value,
+                             "subject": subject})
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes, seeds, st.integers(1, 2), st.booleans())
+def test_malformed_fields_raise_what_the_reference_raises(n, seed, changes, bad_record):
+    # the reader hands the constructor its stored tensor; every other field
+    # must still be checked as the constructor checks it, and after the records
+    rng = random.Random(seed)
+    obj = json.loads(serialize_profile(random_profile(rng, n)))
+    for _ in range(changes):
+        _mutate_field(rng, obj)
+    if bad_record:
+        _mutate(rng, obj, n)
+    _same_parse(obj)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("canonical", "1/1*H + 2/1*Zz", "unknown symbol 'Zz' in canonical class"),
+        ("flags", [{"kind": "Nef", "subject": "1/1*Zz"}], "unknown symbol 'Zz' in flag Nef(Zz)"),
+        ("named_divisors", {"A": "1/1*Zz"}, "unknown symbol 'Zz' in named divisor 'A'"),
+        ("flags", [{"kind": "Uniruled", "subject": "1/1*H"}],
+         "bad flag record {'kind': 'Uniruled', 'subject': '1/1*H'}: "
+         "Uniruled is a variety-level flag"),
+    ],
+    ids=["canonical", "flag-subject", "named-divisor", "variety-level-subject"],
+)
+def test_each_malformed_field_reads_as_the_reference_reads(field, value, message):
+    obj = {"basis": ["H", "E"], "triple": [{"i": 0, "j": 0, "k": 0, "value": "1/1"}],
+           field: value}
+    _same_parse(obj)
+    with pytest.raises(ProfileFormatError, match=f"^{re.escape(message)}$"):
+        profile_from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [{"i": 0, "j": 0, "k": 0, "value": "1/1"}, {"i": 2, "j": 2, "k": 2, "value": "1/1"}],
+        [{"i": 0, "j": 0, "k": 0, "value": "1/1"}],
+        [{"i": 0, "j": 0, "k": 0, "value": "1/0"}],
+    ],
+    ids=["records-that-collide", "one-record", "bad-record"],
+)
+def test_repeated_basis_symbol_is_reported_before_the_records(records):
+    # the records of H at positions 0 and 2 were once reported as a duplicate
+    # triple record; the basis is checked first, whatever the records hold
+    text = json.dumps({"basis": ["H", "E", "H"], "triple": records})
+    with pytest.raises(ProfileFormatError, match="^basis symbols must be distinct$"):
+        parse_profile(text)
 
 
 # -- (c) derived copies --------------------------------------------------------------------

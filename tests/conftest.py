@@ -2,8 +2,17 @@ import json
 import random
 from fractions import Fraction
 
+from hypothesis import Phase, settings
+
 from adjoint3 import DivisorExpr, ThreefoldProfile, parse_profile, serialize_profile
 from adjoint3.core import rat
+
+# Hypothesis's explain phase re-runs a shrunk failing example hundreds of
+# times to mark the parts that may vary; that took about 40 s a failing
+# test, against seconds for finding and shrinking it.  The shrunk example
+# is reported without it.
+settings.register_profile("no-explain", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("no-explain")
 
 BASIS_POOL = ("H", "E", "G")
 

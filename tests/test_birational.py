@@ -27,7 +27,9 @@ from adjoint3 import (
 )
 from adjoint3.profile_io import DivisorParseError
 
+import oracle
 from conftest import assert_canonical_fields, random_divisor, random_valid_profile
+from strategies import blow_up_chains, divisors
 
 H = DivisorExpr.symbol("H")
 E = DivisorExpr.symbol("E")
@@ -240,6 +242,29 @@ class TestPullBack:
             p, "X", genus=rng.randint(0, 6), degrees=degrees
         )
         assert chi_line_bundle(curve_source, pull_back(curve_map, d)) == chi_line_bundle(p, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(blow_up_chains(), st.data())
+def test_chains_keep_pulled_back_products_and_chi(maps, data):
+    # each step against the oracle: pulled-back triple products stay, and so
+    # does chi(pi*D + kE) for the k with R pi_* O(kE) = O; chi(pi*D) -
+    # chi(pi*D - E) is chi(O_E(pi*D)), as E is a plane over a point and a
+    # ruled surface over a curve C of genus g (D.C + 1 - g)
+    for m in maps:
+        D1, D2, D3 = (data.draw(divisors(m.target.basis)) for _ in range(3))
+        pulled = [pull_back(m, D) for D in (D1, D2, D3)]
+        assert oracle.triple(m.source, *pulled) == oracle.triple(m.target, D1, D2, D3)
+        E = {m.exceptional: 1}
+        if m.center is None:
+            ks, on_e = (0, 1, 2), 1
+        else:
+            degrees = dict(m.center.degrees)
+            ks, on_e = (0, 1), sum(c * degrees[s] for s, c in D1.items()) + 1 - m.center.genus
+        chi = oracle.chi(m.target, D1)
+        for k in ks:
+            assert oracle.chi(m.source, oracle.comb((1, D1), (k, E))) == chi
+        assert chi - oracle.chi(m.source, oracle.comb((1, D1), (-1, E))) == on_e
 
 
 class TestBlowdownInvariance:

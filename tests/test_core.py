@@ -18,13 +18,13 @@ from adjoint3 import (
     rat,
 )
 
+import strategies
+from strategies import RationalSubclass as _Rational
+from strategies import nonzero_rationals, operand_pairs, term_lists
+
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 symbols = st.sampled_from(("A", "K", "H", "E"))
 divisors = st.dictionaries(symbols, rationals, max_size=4).map(DivisorExpr)
-
-
-class _Rational(Fraction):
-    """A `Fraction` subclass, as a caller's own rational type may be."""
 
 
 def test_rat_accepts_exact_inputs():
@@ -302,34 +302,6 @@ class TestNumberExpr:
 # -- the normaliser's contract ---------------------------------------------------
 
 
-# one rational in each form the constructors accept
-_values = st.one_of(
-    st.integers(-6, 6),
-    rationals.map(lambda q: f"{q.numerator}/{q.denominator}"),
-    rationals,
-    rationals.map(_Rational),
-)
-
-
-def _keys(degree):
-    # a symbol name, or a monomial of `degree` names in any order
-    if degree is None:
-        return symbols
-    return st.lists(symbols, min_size=degree, max_size=degree).map(tuple)
-
-
-@st.composite
-def _term_lists(draw, degree):
-    """Terms whose keys repeat in any order, some of them cancelling to zero."""
-    terms = draw(st.lists(st.tuples(_keys(degree), _values), max_size=8))
-    cancelled = draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []
-    for key, value in cancelled:
-        if degree is not None:
-            key = tuple(draw(st.permutations(key)))
-        terms.append((key, -Fraction(value)))
-    return draw(st.permutations(terms))
-
-
 def _reference(terms, degree):
     """Sum per sorted key in `Fraction`s, drop zeros, sort the keys."""
     sums = {}
@@ -346,7 +318,7 @@ def _assert_canonical(stored, terms, degree):
 
 
 @settings(max_examples=50)
-@given(_term_lists(None), st.randoms(use_true_random=False))
+@given(term_lists(None), st.randoms(use_true_random=False))
 def test_shuffled_and_repeated_terms_give_the_canonical_divisor(terms, rng):
     canonical = DivisorExpr(_reference(terms, None))
     shuffled = rng.sample(terms, len(terms))
@@ -357,11 +329,11 @@ def test_shuffled_and_repeated_terms_give_the_canonical_divisor(terms, rng):
 
 
 @given(
-    _term_lists(None),
-    _term_lists(1),
-    _term_lists(2),
-    _term_lists(3),
-    _term_lists(None),
+    term_lists(None),
+    term_lists(1),
+    term_lists(2),
+    term_lists(3),
+    term_lists(None),
 )
 def test_every_expression_sums_its_terms_per_key(divisor, linear, quadratic, cubic, pairings):
     _assert_canonical(DivisorExpr(divisor).coefficients, divisor, None)
@@ -373,40 +345,6 @@ def test_every_expression_sums_its_terms_per_key(divisor, linear, quadratic, cub
 
 
 # -- the ring's operations on canonical operands ------------------------------------
-
-
-def _cancelling(draw, terms, degree):
-    """Raw terms that cancel all of ``terms``, or some of them beside new ones."""
-    items = list(terms.items())
-    if items and draw(st.booleans()):
-        return [(key, -v) for key, v in items]
-    cancelled = draw(st.lists(st.sampled_from(items), unique=True)) if items else []
-    return [(key, -v) for key, v in cancelled] + draw(_term_lists(degree))
-
-
-@st.composite
-def _operand_pairs(draw):
-    """Two classes of one degree, or two numbers, whose sum cancels terms."""
-    zero_or_rational = st.just(0) | rationals
-    degree = draw(st.sampled_from([0, 1, 2, 3]))
-    if degree < 3:
-        c2 = zero_or_rational if degree == 2 else st.just(0)
-        a = ClassExpr(degree, draw(_term_lists(degree)), draw(c2))
-        b_c2 = draw(c2 | st.just(-a.c2_atom_coeff))
-        return a, ClassExpr(degree, _cancelling(draw, a.terms, degree), b_c2)
-    a = NumberExpr(
-        draw(_term_lists(3)),
-        draw(_term_lists(None)),
-        draw(zero_or_rational),
-        draw(zero_or_rational),
-    )
-    b = NumberExpr(
-        _cancelling(draw, a.cubic_terms, 3),
-        _cancelling(draw, a.c2_pairings, None),
-        -a.chi_o_coeff,
-        draw(zero_or_rational),
-    )
-    return a, b
 
 
 def _raw_scaled(expr, q):
@@ -453,11 +391,12 @@ def _assert_canonical_result(result, expected):
     assert all(type(v) is Fraction for v in scalars)
 
 
-@settings(max_examples=50)
-@given(_operand_pairs(), rationals)
+@settings(max_examples=100)
+@given(operand_pairs(), strategies.rationals)
 def test_sums_and_scalar_multiples_keep_canonical_form(pair, q):
     a, b = pair
     _assert_canonical_result(a + b, _raw_sum(a, b))
+    _assert_canonical_result(b + a, _raw_sum(b, a))
     _assert_canonical_result(a - a, _raw_sum(a, _raw_scaled(a, -1)))
     for scalar in (0, -1, Fraction(-5, 3), Fraction(1, 2), q):
         expected = _raw_scaled(a, Fraction(scalar))
@@ -466,7 +405,7 @@ def test_sums_and_scalar_multiples_keep_canonical_form(pair, q):
 
 
 @settings(max_examples=50)
-@given(_term_lists(1), _term_lists(1), _term_lists(2), rationals.filter(bool))
+@given(term_lists(1), term_lists(1), term_lists(2), nonzero_rationals)
 def test_products_keep_canonical_form(first, second, quadratic, c2):
     lin1, lin2 = ClassExpr(1, first), ClassExpr(1, second)
     quad = ClassExpr(2, quadratic, c2)
